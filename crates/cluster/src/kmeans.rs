@@ -12,7 +12,7 @@
 use crate::partition::Partition;
 use crate::resume::KMeansCheckpointer;
 use crate::space::ClusterSpace;
-use cafc_exec::{par_map_obs, ExecPolicy};
+use cafc_exec::{par_chunks_obs, par_map_obs, ExecPolicy};
 use cafc_obs::{Obs, FRACTION_BUCKETS};
 use cafc_store::StoreError;
 
@@ -178,11 +178,20 @@ where
     Some(best)
 }
 
-/// The dense reference assignment: every item scores against every
-/// centroid through [`nearest_centroid`], so ties and non-finite
-/// similarities resolve to the lowest cluster index (0 when there are no
-/// centroids). The sparse kernel (`sparse.rs`) reproduces these exact
-/// assignments while skipping zero-overlap pairs.
+/// Items per unit of the assignment pass. A unit scores centroid-major
+/// over its run of items, so a space's batched scorer
+/// ([`ClusterSpace::similarities`]) pays its per-centroid set-up once per
+/// this many items.
+const ASSIGN_CHUNK: usize = 1024;
+
+/// The full assignment pass: every item scores against every centroid,
+/// and keeps [`nearest_centroid`]'s rule — centroids in ascending index,
+/// the first one starting at `-∞`, a later one winning only by a strictly
+/// greater similarity — so ties and non-finite similarities resolve to
+/// the lowest cluster index (0 when there are no centroids). Scoring runs
+/// centroid-major within fixed runs of [`ASSIGN_CHUNK`] items; each item's
+/// pick depends only on its own similarities, so the result is the same
+/// for every chunking and every [`ExecPolicy`].
 pub(crate) fn dense_assign<S>(
     space: &S,
     centroids: &[S::Centroid],
@@ -193,9 +202,27 @@ where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
 {
-    par_map_obs(policy, space.len(), obs, "kmeans.assign", |item| {
-        nearest_centroid(space, centroids.iter().enumerate(), item).map_or(0, |(c, _)| c)
-    })
+    let chunks = par_chunks_obs(
+        policy,
+        space.len(),
+        ASSIGN_CHUNK,
+        obs,
+        "kmeans.assign",
+        |items| {
+            let mut best = vec![(0, f64::NEG_INFINITY); items.len()];
+            let mut sims = vec![0.0; items.len()];
+            for (c, centroid) in centroids.iter().enumerate() {
+                space.similarities(centroid, items.clone(), &mut sims);
+                for (best, &sim) in best.iter_mut().zip(&sims) {
+                    if sim > best.1 {
+                        *best = (c, sim);
+                    }
+                }
+            }
+            best
+        },
+    );
+    chunks.into_iter().flatten().map(|(c, _)| c).collect()
 }
 
 /// The k-means loop proper, shared by the plain entry points (no
@@ -220,12 +247,11 @@ where
 }
 
 /// [`kmeans_driver`] generic over the assignment step: `assign` maps the
-/// current centroids to one cluster index per item. Every strategy must
-/// reproduce the dense reference assignments bit-for-bit (the sparse
-/// kernel's contract — see `sparse.rs`); the loop around it (move
-/// counting, centroid rebuild, stopping rule, checkpoint journaling) is
-/// shared so strategies can never diverge on anything but the O(n·k)
-/// similarity pass they optimize.
+/// current centroids to one cluster index per item. Mini-batch k-means
+/// (`minibatch.rs`) swaps in a strategy that re-scores a sample; the loop
+/// around it (move counting, centroid rebuild, stopping rule, checkpoint
+/// journaling) is shared so strategies can never diverge on anything but
+/// the O(n·k) similarity pass.
 pub(crate) fn kmeans_driver_with<S, A>(
     space: &S,
     seeds: &[Vec<usize>],

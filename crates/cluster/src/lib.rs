@@ -18,14 +18,8 @@
 //!   farthest-first selection over candidate clusters used by
 //!   `SelectHubClusters` (Algorithm 3), and HAC-over-sample seeding (§4.3).
 //!
-//! Scaling kernels (ROADMAP item 3 — 10^5–10^6 pages), both bit-identical
-//! to [`kmeans()`] where their contracts say so:
-//!
-//! * [`kmeans_sparse()`] — assignment over an inverted term → candidate
-//!   index; zero-overlap (item, centroid) pairs are skipped, outputs are
-//!   bit-identical to the dense reference;
-//! * [`kmeans_minibatch()`] — seeded mini-batch assignment for large `n`;
-//!   `batch_size ≥ n` degrades to full k-means, bit-identically.
+//! For large `n`, [`kmeans_minibatch()`] runs seeded mini-batch
+//! assignment; `batch_size ≥ n` degrades to full k-means, bit-identically.
 
 #![warn(missing_docs)]
 
@@ -52,7 +46,5 @@ pub use partition::Partition;
 pub use resume::{hac_resumable, kmeans_resumable};
 pub use seed::{greedy_distant_seeds, kmeanspp_seeds, random_singleton_seeds};
 pub use space::{ClusterSpace, DenseSpace};
-pub use sparse::{
-    kmeans_sparse, kmeans_sparse_exec, kmeans_sparse_obs, CandidateIndex, SparseClusterSpace,
-};
+pub use sparse::{kmeans_sparse_exec, SparseClusterSpace};
 pub use validity::{choose_k, mean_silhouette, silhouette_of};

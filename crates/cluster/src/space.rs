@@ -1,5 +1,7 @@
 //! The [`ClusterSpace`] abstraction and a dense reference implementation.
 
+use std::ops::Range;
+
 /// A clustering problem: `len()` items, centroids, and similarities in
 /// `\[0, 1\]` (1 = identical). Distances used by the algorithms are always
 /// `1 − similarity`.
@@ -20,6 +22,17 @@ pub trait ClusterSpace {
 
     /// Similarity between a centroid and item `item`, in `\[0, 1\]`.
     fn similarity(&self, centroid: &Self::Centroid, item: usize) -> f64;
+
+    /// The similarity of `centroid` to each item of the run `items`, in
+    /// order, written to `out` (one slot per item). Each value must be
+    /// bit-equal to [`ClusterSpace::similarity`]. The default calls it per
+    /// item; a space with per-centroid set-up worth sharing across items
+    /// overrides this (the k-means assignment pass scores through it).
+    fn similarities(&self, centroid: &Self::Centroid, items: Range<usize>, out: &mut [f64]) {
+        for (item, sim) in items.zip(out) {
+            *sim = self.similarity(centroid, item);
+        }
+    }
 
     /// Similarity between two centroids, in `\[0, 1\]`.
     fn centroid_similarity(&self, a: &Self::Centroid, b: &Self::Centroid) -> f64;

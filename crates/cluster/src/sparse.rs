@@ -1,161 +1,32 @@
-//! Sparse k-means assignment over an inverted term → candidate-centroid
-//! index: items only score against centroids they share at least one term
-//! with, and zero-overlap pairs are skipped entirely.
+//! The term-key view of a clustering space, and [`kmeans_sparse_exec`],
+//! an alias of [`kmeans_exec`] kept for callers of that name.
 //!
-//! At the paper's 454 pages the dense O(n·k) similarity pass is free; at
-//! 10^5–10^6 pages it is the batch pipeline's bottleneck (ROADMAP item 3).
-//! Term vectors are sparse — a page carries a few hundred distinct terms
-//! out of a six-figure vocabulary — so most (item, centroid) pairs share
-//! no vocabulary and their cosine is *exactly* `0.0`. The kernel exploits
-//! that without changing a single output bit.
-//!
-//! # The bit-equality contract
-//!
-//! A [`SparseClusterSpace`] promises, for every item/centroid pair:
-//!
-//! 1. similarities are in `[0, 1]` (never negative, never NaN), and
-//! 2. a pair whose term-key sets are disjoint has similarity exactly
-//!    `0.0`.
-//!
-//! Under those two facts the dense reference argmax (strict `>`, ties to
-//! the lowest index — see [`nearest_centroid`] and
-//! [`dense_assign`](crate::kmeans::dense_assign)) is reproduced exactly
-//! by scoring only the candidate centroids that share a term with the
-//! item, in ascending index order, and falling back to cluster 0 when no
-//! candidate scores strictly above `0.0`: every skipped centroid would
-//! have contributed exactly `0.0`, which only wins when *nothing* exceeds
-//! it, in which case the dense loop keeps its initial `best = 0`.
-//!
-//! Both properties hold for the CAFC form-page space: TF-IDF weights are
-//! non-negative, cosines are clamped to `[0, 1]`, and Equation 3 averages
-//! them with non-negative weights (see `FeatureConfig` in the core
-//! crate). A differential oracle in `tests/props.rs` and the scale tier
-//! (`tests/scale.rs`) pin sparse ≡ dense on random corpora, including
-//! all-zero-overlap documents.
+//! A [`SparseClusterSpace`] enumerates the term keys of its items and
+//! centroids; probes use it to measure vocabulary overlap between pages
+//! and centroids (the benchmark's `cluster.candidates_per_item`). No
+//! assignment pass prunes by that overlap: on form pages at k = 8 every
+//! page shares a term with every centroid, so an inverted term → centroid
+//! index skips nothing (DESIGN.md §17.3).
 
-use crate::kmeans::{kmeans_driver_with, nearest_centroid, KMeansOptions, KMeansOutcome};
-use crate::partition::Partition;
+use crate::kmeans::{kmeans_exec, KMeansOptions, KMeansOutcome};
 use crate::space::ClusterSpace;
-use cafc_exec::{par_map_obs, ExecPolicy};
-use cafc_obs::Obs;
-use std::collections::HashMap;
+use cafc_exec::ExecPolicy;
 
-/// A [`ClusterSpace`] whose similarity is driven by sparse term overlap.
+/// A [`ClusterSpace`] whose items and centroids are sparse term vectors.
 ///
-/// `u64` term keys are opaque to the kernel; a multi-feature-space
-/// implementation disambiguates its spaces by tagging key ranges (the
-/// core crate packs a space tag into the high bits). Implementations
-/// must uphold the two facts in the [module docs](self): similarities in
-/// `[0, 1]`, and disjoint key sets ⇒ similarity exactly `0.0`.
+/// `u64` term keys are opaque; a multi-feature-space implementation
+/// disambiguates its spaces by tagging key ranges (the core crate packs a
+/// space tag into the high bits).
 pub trait SparseClusterSpace: ClusterSpace {
     /// Invoke `f` once per term key of `item` (order and duplicates are
-    /// irrelevant; the kernel deduplicates).
+    /// up to the implementation).
     fn for_each_item_term(&self, item: usize, f: &mut dyn FnMut(u64));
 
     /// Invoke `f` once per term key of `centroid`.
     fn for_each_centroid_term(&self, centroid: &Self::Centroid, f: &mut dyn FnMut(u64));
 }
 
-/// The inverted index for one assignment pass: term key → centroid
-/// indices carrying that term, in ascending centroid order.
-///
-/// Rebuilt once per iteration (centroids move); each build is
-/// O(Σ nnz(centroid)), far below the dense pass it replaces.
-#[derive(Debug, Default)]
-pub struct CandidateIndex {
-    postings: HashMap<u64, Vec<usize>>,
-}
-
-impl CandidateIndex {
-    /// Index `centroids` of `space`.
-    pub fn build<S: SparseClusterSpace>(space: &S, centroids: &[S::Centroid]) -> CandidateIndex {
-        let mut postings: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (c, centroid) in centroids.iter().enumerate() {
-            // Ascending `c` keeps every posting list sorted by construction.
-            space.for_each_centroid_term(centroid, &mut |term| {
-                let list = postings.entry(term).or_default();
-                if list.last() != Some(&c) {
-                    list.push(c);
-                }
-            });
-        }
-        CandidateIndex { postings }
-    }
-
-    /// Distinct term keys indexed.
-    pub fn num_terms(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// The centroids sharing at least one term with `item`, ascending and
-    /// deduplicated. `scratch` is a reusable `seen` buffer of length ≥ k
-    /// (cleared on return).
-    fn candidates_for<S: SparseClusterSpace>(
-        &self,
-        space: &S,
-        item: usize,
-        scratch: &mut [bool],
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        space.for_each_item_term(item, &mut |term| {
-            if let Some(list) = self.postings.get(&term) {
-                for &c in list {
-                    if !scratch[c] {
-                        scratch[c] = true;
-                        out.push(c);
-                    }
-                }
-            }
-        });
-        out.sort_unstable();
-        for &c in out.iter() {
-            scratch[c] = false;
-        }
-    }
-}
-
-/// The sparse assignment pass: bit-identical to
-/// [`dense_assign`](crate::kmeans::dense_assign) for spaces upholding the
-/// [`SparseClusterSpace`] contract, for every [`ExecPolicy`].
-pub(crate) fn sparse_assign<S>(
-    space: &S,
-    centroids: &[S::Centroid],
-    policy: ExecPolicy,
-    obs: &Obs,
-) -> Vec<usize>
-where
-    S: SparseClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    let index = CandidateIndex::build(space, centroids);
-    let k = centroids.len();
-    par_map_obs(policy, space.len(), obs, "kmeans.assign", |item| {
-        let mut scratch = vec![false; k];
-        let mut candidates = Vec::new();
-        index.candidates_for(space, item, &mut scratch, &mut candidates);
-        let best = nearest_centroid(space, candidates.iter().map(|&c| (c, &centroids[c])), item);
-        // Every non-candidate scores exactly 0.0; the dense argmax keeps
-        // cluster 0 unless some centroid beats that.
-        match best {
-            Some((c, sim)) if sim > 0.0 => c,
-            _ => 0,
-        }
-    })
-}
-
-/// [`kmeans`](crate::kmeans) with the sparse assignment kernel:
-/// bit-identical outcome, zero-overlap pairs skipped.
-pub fn kmeans_sparse<S>(space: &S, seeds: &[Vec<usize>], opts: &KMeansOptions) -> KMeansOutcome
-where
-    S: SparseClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_sparse_exec(space, seeds, opts, ExecPolicy::Serial)
-}
-
-/// [`kmeans_sparse`] under an explicit execution policy; bit-identical to
-/// every other policy and to the dense kernel.
+/// [`kmeans_exec`] under its former sparse-kernel name.
 pub fn kmeans_sparse_exec<S>(
     space: &S,
     seeds: &[Vec<usize>],
@@ -163,48 +34,15 @@ pub fn kmeans_sparse_exec<S>(
     policy: ExecPolicy,
 ) -> KMeansOutcome
 where
-    S: SparseClusterSpace + Sync,
+    S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
 {
-    kmeans_sparse_obs(space, seeds, opts, policy, &Obs::disabled())
+    kmeans_exec(space, seeds, opts, policy)
 }
 
-/// [`kmeans_sparse_exec`] with instrumentation — the same metrics as
-/// [`kmeans_obs`](crate::kmeans_obs), so sparse and dense runs produce
-/// comparable snapshots.
-pub fn kmeans_sparse_obs<S>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    policy: ExecPolicy,
-    obs: &Obs,
-) -> KMeansOutcome
-where
-    S: SparseClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    match kmeans_driver_with(space, seeds, opts, policy, obs, None, &sparse_assign) {
-        Ok(outcome) => outcome,
-        // Unreachable: the driver only fails through a checkpointer.
-        Err(_) => KMeansOutcome {
-            partition: Partition::new(Vec::new(), space.len()),
-            iterations: 0,
-            converged: false,
-        },
-    }
-}
-
-/// A dense [`ClusterSpace`] adapter is deliberately **not** provided:
-/// [`DenseSpace`](crate::space::DenseSpace)'s Euclidean-kernel similarity
-/// `1 / (1 + d)` is strictly positive for every finite pair, so no
-/// (item, centroid) pair can ever be skipped and an inverted index would
-/// add cost without removing any work. Sparse pruning requires a
-/// similarity that is exactly zero on disjoint support — cosine over
-/// non-negative sparse vectors, not a distance kernel.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::kmeans_exec;
 
     /// A minimal sparse space over term-id lists with uniform weights:
     /// cosine = |a ∩ b| / sqrt(|a| · |b|) via sparse vectors of 1.0s.
@@ -298,12 +136,16 @@ mod tests {
         ])
     }
 
+    fn serial(s: &TermSetSpace, seeds: &[Vec<usize>]) -> KMeansOutcome {
+        kmeans_sparse_exec(s, seeds, &KMeansOptions::strict(), ExecPolicy::Serial)
+    }
+
     #[test]
     fn sparse_matches_dense_exactly() {
         let s = space();
         let seeds = [vec![0], vec![3], vec![6]];
         let dense = kmeans_exec(&s, &seeds, &KMeansOptions::strict(), ExecPolicy::Serial);
-        let sparse = kmeans_sparse(&s, &seeds, &KMeansOptions::strict());
+        let sparse = serial(&s, &seeds);
         assert_eq!(sparse.partition, dense.partition);
         assert_eq!(sparse.iterations, dense.iterations);
         assert_eq!(sparse.converged, dense.converged);
@@ -312,21 +154,19 @@ mod tests {
     #[test]
     fn zero_overlap_items_land_in_cluster_zero() {
         let s = space();
-        // Seeds never cover terms 99 or the empty doc: both fall back to
-        // cluster 0 — exactly where the dense argmax puts an all-zero row.
+        // Seeds never cover term 99 or the empty doc: both score 0.0
+        // against every centroid, and the tie goes to cluster 0.
         let seeds = [vec![0], vec![3]];
-        let dense = kmeans_exec(&s, &seeds, &KMeansOptions::strict(), ExecPolicy::Serial);
-        let sparse = kmeans_sparse(&s, &seeds, &KMeansOptions::strict());
-        assert_eq!(sparse.partition, dense.partition);
-        assert!(sparse.partition.clusters()[0].contains(&6));
-        assert!(sparse.partition.clusters()[0].contains(&7));
+        let out = serial(&s, &seeds);
+        assert!(out.partition.clusters()[0].contains(&6));
+        assert!(out.partition.clusters()[0].contains(&7));
     }
 
     #[test]
     fn exec_policies_agree_exactly() {
         let s = space();
         let seeds = [vec![0], vec![3], vec![6]];
-        let baseline = kmeans_sparse(&s, &seeds, &KMeansOptions::strict());
+        let baseline = serial(&s, &seeds);
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
@@ -339,26 +179,12 @@ mod tests {
     }
 
     #[test]
-    fn candidate_index_postings_are_sorted_and_deduped() {
-        let s = space();
-        let centroids = vec![s.centroid(&[0, 1]), s.centroid(&[1, 2]), s.centroid(&[3])];
-        let index = CandidateIndex::build(&s, &centroids);
-        assert!(index.num_terms() > 0);
-        for list in index.postings.values() {
-            let mut sorted = list.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(&sorted, list);
-        }
-    }
-
-    #[test]
     fn empty_space_and_degenerate_seeds() {
         let s = TermSetSpace::new(Vec::new());
-        let out = kmeans_sparse(&s, &[], &KMeansOptions::strict());
+        let out = serial(&s, &[]);
         assert!(out.partition.clusters().is_empty());
         let s = space();
-        let out = kmeans_sparse(&s, &[vec![]], &KMeansOptions::strict());
+        let out = serial(&s, &[vec![]]);
         assert_eq!(out.partition.clusters().len(), 1);
         assert_eq!(out.partition.num_assigned(), 8);
     }

@@ -139,19 +139,18 @@ fn greedy_selection_starts_with_a_farthest_pair() {
 }
 
 // ---------------------------------------------------------------------
-// Scaling kernels (the 10^5–10^6-page PR): sparse assignment and
-// mini-batch k-means against their exact-reference counterparts.
+// The assignment pass and mini-batch k-means against their per-pair
+// references.
 // ---------------------------------------------------------------------
 
 use cafc_cluster::{
-    kmeans_minibatch, kmeans_sparse, kmeans_sparse_exec, ExecPolicy, MiniBatchOptions,
-    SparseClusterSpace,
+    kmeans_exec, kmeans_minibatch, kmeans_sparse_exec, nearest_centroid, ExecPolicy,
+    MiniBatchOptions, Partition, SparseClusterSpace,
 };
 
 /// A term-set space: each item is a set of `u64` term keys, an item's
-/// vector is the indicator over its terms, and similarity is cosine. The
-/// key contract property holds exactly: disjoint supports ⇒ dot = 0 ⇒
-/// similarity exactly `0.0`.
+/// vector is the indicator over its terms, and similarity is cosine, so
+/// disjoint supports score exactly `0.0` and tie.
 struct TermSets {
     docs: Vec<Vec<u64>>, // each sorted + deduped
 }
@@ -256,23 +255,140 @@ fn sparse_problem() -> Gen<SparseProblem> {
     })
 }
 
-/// The sparse kernel is a pure optimization: over any sparse corpus —
-/// zero-overlap and empty documents included — `kmeans_sparse` is
-/// bit-identical to dense `kmeans` from the same seeds, and invariant
-/// across execution policies.
+/// The per-pair reference k-means: Algorithm 1 as `kmeans_exec` runs it
+/// (empty seeds dropped, at least one pass, starved clusters keep their
+/// centroid, the move-fraction stop), with every item assigned by
+/// [`nearest_centroid`] — one `similarity` call per (item, centroid) pair.
+fn reference_kmeans<S: ClusterSpace>(
+    space: &S,
+    seeds: &[Vec<usize>],
+    opts: &KMeansOptions,
+) -> (Partition, usize, bool) {
+    let n = space.len();
+    let seeds: Vec<&Vec<usize>> = seeds.iter().filter(|s| !s.is_empty()).collect();
+    if seeds.is_empty() {
+        let clusters = if n == 0 {
+            vec![]
+        } else {
+            vec![(0..n).collect()]
+        };
+        return (Partition::new(clusters, n), 0, n > 0);
+    }
+    let k = seeds.len();
+    let mut centroids: Vec<S::Centroid> = seeds.iter().map(|s| space.centroid(s)).collect();
+    let mut assignment = vec![usize::MAX; n];
+    let (mut iterations, mut converged) = (0, false);
+    while iterations < opts.max_iterations.max(1) {
+        iterations += 1;
+        let mut moved = 0;
+        for (item, assigned) in assignment.iter_mut().enumerate() {
+            let best =
+                nearest_centroid(space, centroids.iter().enumerate(), item).map_or(0, |(c, _)| c);
+            if *assigned != best {
+                moved += 1;
+                *assigned = best;
+            }
+        }
+        for (c, centroid) in centroids.iter_mut().enumerate() {
+            let members: Vec<usize> = (0..n).filter(|&i| assignment[i] == c).collect();
+            if !members.is_empty() {
+                *centroid = space.centroid(&members);
+            }
+        }
+        if n == 0 {
+            break;
+        }
+        if (moved as f64) / (n as f64) < opts.move_fraction_threshold {
+            converged = true;
+            break;
+        }
+    }
+    (
+        Partition::from_assignments(&assignment, k),
+        iterations,
+        converged,
+    )
+}
+
+/// Over any sparse corpus — zero-overlap and empty documents included,
+/// so many items tie at `0.0` — k-means (and its `kmeans_sparse_exec`
+/// alias) equals the per-pair reference from the same seeds, under every
+/// execution policy.
 #[test]
 fn sparse_assignment_matches_dense_reference() {
     check!(CheckConfig::new(), sparse_problem(), |(docs, seeds)| {
         let space = TermSets { docs: docs.clone() };
         let opts = KMeansOptions::default();
-        let dense = kmeans(&space, seeds, &opts);
-        let sparse = kmeans_sparse(&space, seeds, &opts);
-        require_eq!(dense.partition.clusters(), sparse.partition.clusters());
-        require_eq!(dense.iterations, sparse.iterations);
-        require_eq!(dense.converged, sparse.converged);
-        let parallel =
-            kmeans_sparse_exec(&space, seeds, &opts, ExecPolicy::Parallel { threads: 3 });
-        require_eq!(sparse.partition.clusters(), parallel.partition.clusters());
+        let (partition, iterations, converged) = reference_kmeans(&space, seeds, &opts);
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
+            for out in [
+                kmeans_exec(&space, seeds, &opts, policy),
+                kmeans_sparse_exec(&space, seeds, &opts, policy),
+            ] {
+                require_eq!(out.partition.clusters(), partition.clusters());
+                require_eq!(out.iterations, iterations);
+                require_eq!(out.converged, converged);
+            }
+        }
+        Ok(())
+    });
+}
+
+/// A space whose similarities are drawn from a table of ties, NaN, ±∞
+/// and ordinary values by a hash of (centroid, item); a centroid is its
+/// seed's first member.
+struct TableSpace {
+    n: usize,
+    salt: u64,
+}
+
+impl TableSpace {
+    const VALUES: [f64; 6] = [f64::NAN, f64::NEG_INFINITY, 0.0, 0.5, 0.5, 1.0];
+}
+
+impl ClusterSpace for TableSpace {
+    type Centroid = usize;
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn centroid(&self, members: &[usize]) -> usize {
+        members[0]
+    }
+
+    fn similarity(&self, centroid: &usize, item: usize) -> f64 {
+        let mut h = self.salt ^ ((*centroid as u64) << 32) ^ item as u64;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        Self::VALUES[(h % Self::VALUES.len() as u64) as usize]
+    }
+
+    fn centroid_similarity(&self, a: &usize, b: &usize) -> f64 {
+        self.similarity(a, *b)
+    }
+}
+
+/// One assignment pass equals per-item [`nearest_centroid`] — ascending
+/// centroid index, the first starting at −∞, strict `>` — over ties, NaN
+/// and infinite similarities and runs of items longer than one scoring
+/// chunk, under every execution policy.
+#[test]
+fn assignment_pass_matches_nearest_centroid() {
+    let problem = pairs(&pairs(&usizes(1, 2500), &usizes(1, 6)), &usizes(0, 1 << 20));
+    let cfg = CheckConfig::new().with_cases(48);
+    check!(cfg, problem, |((n, k), salt)| {
+        let space = TableSpace {
+            n: *n,
+            salt: *salt as u64,
+        };
+        let seeds: Vec<Vec<usize>> = (0..(*k).min(*n)).map(|c| vec![c]).collect();
+        let one_pass = KMeansOptions::default().with_max_iterations(1);
+        let (partition, _, _) = reference_kmeans(&space, &seeds, &one_pass);
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
+            let out = kmeans_exec(&space, &seeds, &one_pass, policy);
+            require_eq!(out.partition.clusters(), partition.clusters());
+        }
         Ok(())
     });
 }

@@ -16,7 +16,7 @@
 //!
 //! The pipeline under test is the scale path of DESIGN.md §17: sharded
 //! ingest ([`crate::model::ingest_shard`] under a memory budget), TF-IDF
-//! vectorization, sparse k-means ([`cafc_cluster::kmeans_sparse_exec`])
+//! vectorization, k-means ([`cafc_cluster::kmeans_exec`])
 //! and HAC over a deterministic sample. Corpus *generation* is injected
 //! as a shard source closure — this crate cannot depend on
 //! `cafc-corpus` (which depends on nothing here but is wired by the CLI),
@@ -26,7 +26,7 @@ use crate::ingest::{IngestLimits, IngestReport};
 use crate::model::{ingest_shard, FormPageCorpus, IngestMerge, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{
-    hac_exec, kmeans_sparse_exec, random_singleton_seeds, ClusterSpace, HacOptions, KMeansOptions,
+    hac_exec, kmeans_exec, random_singleton_seeds, ClusterSpace, HacOptions, KMeansOptions,
     Linkage, Partition,
 };
 use cafc_exec::ExecPolicy;
@@ -278,8 +278,8 @@ fn stride_sample(n: usize, m: usize) -> Vec<usize> {
 
 /// Run the batch benchmark: drain `shard_source` (called with shard
 /// indices `0, 1, 2, …` until it returns `None`), ingest under the
-/// configured shard size and memory budget, vectorize, run sparse
-/// k-means seeded from `config.seed`, and HAC over a stride sample.
+/// configured shard size and memory budget, vectorize, run k-means
+/// seeded from `config.seed`, and HAC over a stride sample.
 ///
 /// Everything in the digest portion of the returned report is a pure
 /// function of `config` and the shard source's output — thread count,
@@ -340,12 +340,12 @@ where
     );
     stage("vectorize", pages, start);
 
-    // ---- kmeans: sparse kernel over the combined space -------------
+    // ---- kmeans: over the combined space ---------------------------
     let start = Instant::now();
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let n = space.len();
     let seeds = random_singleton_seeds(&space, config.k, &mut StdRng::seed_from_u64(config.seed));
-    let outcome = kmeans_sparse_exec(&space, &seeds, &KMeansOptions::default(), policy);
+    let outcome = kmeans_exec(&space, &seeds, &KMeansOptions::default(), policy);
     stage("kmeans", n, start);
 
     // ---- hac_sample: HAC over a stride sample ----------------------

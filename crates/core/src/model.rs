@@ -883,13 +883,11 @@ pub(crate) fn ingest_document(
     let mut terms_used = 0usize;
     let mut budget_hit = false;
     for lt in located_text(doc) {
+        // A spent budget trips only on a further term, not on text that
+        // analyses to nothing (stopwords, numbers).
         let budget = limits.max_terms.saturating_sub(terms_used);
-        if budget == 0 {
-            budget_hit = true;
-            break;
-        }
         term_buf.clear();
-        budget_hit |= opts
+        budget_hit = opts
             .analyzer
             .analyze_into_budget(&lt.text, dict, term_buf, budget);
         terms_used += term_buf.len();
@@ -899,6 +897,9 @@ pub(crate) fn ingest_document(
             pc.add_all(term_buf.iter().copied(), w);
         } else {
             pc.add_all(term_buf.iter().copied(), w);
+        }
+        if budget_hit {
+            break;
         }
     }
     if budget_hit {
@@ -1185,6 +1186,47 @@ mod tests {
                 assert!(reasons.contains(&DegradedReason::TermBudgetExceeded))
             }
             other => panic!("expected degraded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn term_budget_trips_only_on_a_term_past_it() {
+        // Four PC terms: flight, departur, cheap, airfar. The last run of
+        // text is all stopwords, and "the" trails the third run.
+        for page in [
+            "<title>Flights</title><form>departure <input name=q></form>\
+             <p>cheap airfare</p><p>the of and</p>",
+            "<title>Flights</title><form>departure <input name=q></form>\
+             <p>cheap airfare the</p>",
+        ] {
+            let (unlimited, _) =
+                FormPageCorpus::from_html_ingest([page], &opts(), &IngestLimits::new());
+            // One page, so IDF zeroes `pc`; the raw frequencies keep it.
+            assert_eq!(unlimited.pc_tf[0].nnz(), 4);
+            let (exact, report) = FormPageCorpus::from_html_ingest(
+                [page],
+                &opts(),
+                &IngestLimits::new().with_max_terms(4),
+            );
+            assert_eq!(report.outcomes[0], PageOutcome::Ok, "{page}");
+            assert_eq!(exact.pc_tf[0], unlimited.pc_tf[0]);
+            assert_eq!(exact.fc, unlimited.fc);
+            assert_eq!(exact.dict.len(), unlimited.dict.len());
+            // One term short: the page is trimmed, and the term left out
+            // is never interned.
+            let (short, report) = FormPageCorpus::from_html_ingest(
+                [page],
+                &opts(),
+                &IngestLimits::new().with_max_terms(3),
+            );
+            assert_eq!(
+                report.outcomes[0],
+                PageOutcome::Degraded {
+                    reasons: vec![DegradedReason::TermBudgetExceeded]
+                }
+            );
+            assert_eq!(short.pc_tf[0].nnz(), 3);
+            assert_eq!(short.dict.len(), 3);
         }
     }
 

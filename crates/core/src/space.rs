@@ -4,6 +4,7 @@
 use crate::model::FormPageCorpus;
 use cafc_cluster::{ClusterSpace, SparseClusterSpace};
 use cafc_vsm::SparseVector;
+use std::ops::Range;
 
 /// Which feature spaces contribute to similarity, and with what weights
 /// (the `C1`/`C2` of Equation 3; the paper uses `C1 = C2 = 1`).
@@ -138,6 +139,52 @@ fn anchor_cosine(a: &SparseVector, b: &SparseVector) -> Option<f64> {
     }
 }
 
+/// One centroid vector scattered into a slice indexed by term id, so an
+/// item's cosine against it is one gather over the item's entries. Built
+/// per [`ClusterSpace::similarities`] call and dropped after it: a
+/// dictionary-sized buffer per centroid would be too much to keep on
+/// every [`MultiCentroid`] that HAC or the stream holds.
+struct Scattered {
+    dense: Vec<f64>,
+    norm: f64,
+}
+
+impl Scattered {
+    fn new(v: &SparseVector) -> Scattered {
+        let mut dense = vec![0.0; v.entries().last().map_or(0, |&(t, _)| t.index() + 1)];
+        for &(t, w) in v.entries() {
+            dense[t.index()] = w;
+        }
+        Scattered {
+            dense,
+            norm: v.norm(),
+        }
+    }
+
+    /// Bit-equal to `v.cosine(item)` for the `v` this was scattered from:
+    /// the same stored norms, the same `denom == 0.0` exit and clamp, and
+    /// the same products (centroid weight × item weight) added in the same
+    /// ascending term order. The gather also adds `0.0 × w` for item terms
+    /// the centroid lacks; that is ±0.0 (page weights are finite:
+    /// `SparseVector::from_entries` drops the rest), and a sum starting at
+    /// +0.0 never becomes −0.0 and is unchanged by adding a zero. Terms
+    /// past the scatter's end are such zeros, so the gather stops there.
+    fn cosine(&self, item: &SparseVector) -> f64 {
+        let denom = self.norm * item.norm();
+        if denom == 0.0 {
+            return 0.0;
+        }
+        let mut dot = 0.0;
+        for &(t, w) in item.entries() {
+            match self.dense.get(t.index()) {
+                Some(&c) => dot += c * w,
+                None => break,
+            }
+        }
+        (dot / denom).clamp(0.0, 1.0)
+    }
+}
+
 /// Term-key tags for [`SparseClusterSpace`]: the three feature spaces
 /// share one `u64` key space by packing a space tag into the high 32 bits
 /// above the 32-bit [`cafc_text::TermId`], so a page-content term can
@@ -150,7 +197,7 @@ impl FormPageSpace<'_> {
     /// Enumerate the tagged term keys of one page or centroid (its three
     /// per-space vectors), restricted to the spaces the [`FeatureConfig`]
     /// lets contribute to Equation 3. Shared by items and centroids so
-    /// both sides of the candidate index agree on the key space.
+    /// both sides agree on the key space.
     fn for_each_term_key(
         &self,
         pc: &SparseVector,
@@ -182,15 +229,8 @@ impl FormPageSpace<'_> {
     }
 }
 
-/// The sparse-kernel contract (see `cafc_cluster::sparse`): similarities
-/// are in `[0, 1]` and a (centroid, item) pair with disjoint key sets has
-/// similarity exactly `0.0`. Both hold here **provided the
-/// [`FeatureConfig`] weights are non-negative, finite, and positively
-/// summed** (the paper's configurations all are): TF-IDF weights are
-/// non-negative, so each per-space cosine of a disjoint pair has dot
-/// product exactly `0.0` (or an empty-vector norm, which short-circuits
-/// to `0.0`), a silent anchor space contributes `None`/`Some(0.0)`, and
-/// Equation 3's weighted average of exact zeros is exactly `0.0`.
+/// The term keys of pages and centroids, for probes that measure how much
+/// vocabulary they share.
 impl SparseClusterSpace for FormPageSpace<'_> {
     fn for_each_item_term(&self, item: usize, f: &mut dyn FnMut(u64)) {
         self.for_each_term_key(
@@ -223,6 +263,30 @@ impl ClusterSpace for FormPageSpace<'_> {
             centroid.fc.cosine(&self.corpus.fc[item]),
             anchor_cosine(&centroid.anchor, &self.corpus.anchor[item]),
         )
+    }
+
+    /// [`ClusterSpace::similarity`] for a run of items, bit for bit: the
+    /// centroid's three vectors are scattered once, and each item's
+    /// per-space cosines gather over its own entries (see
+    /// [`Scattered::cosine`]), so a similarity costs the item's entries
+    /// rather than a merge with the whole centroid.
+    fn similarities(&self, centroid: &MultiCentroid, items: Range<usize>, out: &mut [f64]) {
+        let (pc, fc, anchor) = (
+            Scattered::new(&centroid.pc),
+            Scattered::new(&centroid.fc),
+            Scattered::new(&centroid.anchor),
+        );
+        let corpus = self.corpus;
+        for (item, sim) in items.zip(out) {
+            let item_anchor = &corpus.anchor[item];
+            *sim = self.combine(
+                pc.cosine(&corpus.pc[item]),
+                fc.cosine(&corpus.fc[item]),
+                // Silent when both sides are empty, as in `anchor_cosine`.
+                (!centroid.anchor.is_empty() || !item_anchor.is_empty())
+                    .then(|| anchor.cosine(item_anchor)),
+            );
+        }
     }
 
     fn centroid_similarity(&self, a: &MultiCentroid, b: &MultiCentroid) -> f64 {
@@ -409,27 +473,125 @@ mod tests {
         assert!(pc_only.iter().all(|k| !fc_only.contains(k)));
     }
 
+    const CONFIGS: [FeatureConfig; 4] = [
+        FeatureConfig::FcOnly,
+        FeatureConfig::PcOnly,
+        FeatureConfig::Combined { c1: 1.0, c2: 1.0 },
+        FeatureConfig::WithAnchors {
+            c1: 1.0,
+            c2: 2.0,
+            c3: 1.0,
+        },
+    ];
+
+    /// [`corpus`] plus a blank page (empty PC and FC), with anchor text on
+    /// pages 0 and 2 only: pairs mix populated, one-sided and silent
+    /// anchor spaces, and page 2's anchor reaches past page 0's last term.
+    fn mixed_corpus() -> FormPageCorpus {
+        let mut c = corpus();
+        c.pc.push(SparseVector::empty());
+        c.pc_tf.push(SparseVector::empty());
+        c.fc.push(SparseVector::empty());
+        c.anchor.push(SparseVector::empty());
+        let t = cafc_text::TermId;
+        c.anchor[0] = SparseVector::from_entries(vec![(t(1), 0.5), (t(4), 2.0)]);
+        c.anchor[2] = SparseVector::from_entries(vec![(t(4), 1.0), (t(9), 0.25)]);
+        c
+    }
+
+    /// The per-pair reference: this space with the default
+    /// `ClusterSpace::similarities`, one `similarity` call per pair.
+    struct PerPair<'a>(FormPageSpace<'a>);
+
+    impl ClusterSpace for PerPair<'_> {
+        type Centroid = MultiCentroid;
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn centroid(&self, members: &[usize]) -> MultiCentroid {
+            self.0.centroid(members)
+        }
+
+        fn similarity(&self, centroid: &MultiCentroid, item: usize) -> f64 {
+            self.0.similarity(centroid, item)
+        }
+
+        fn centroid_similarity(&self, a: &MultiCentroid, b: &MultiCentroid) -> f64 {
+            self.0.centroid_similarity(a, b)
+        }
+    }
+
+    #[test]
+    fn batched_scores_equal_similarity_bit_for_bit() {
+        let c = mixed_corpus();
+        let n = c.len();
+        for config in CONFIGS {
+            let space = FormPageSpace::new(&c, config);
+            let mut centroids = vec![MultiCentroid::default(), space.centroid(&[0, 1, 2, 3])];
+            centroids.extend((0..n).map(|i| space.centroid(&[i])));
+            centroids.push(space.centroid(&[1, 3]));
+            for centroid in &centroids {
+                for items in [0..n, 1..3, 2..2, 3..4] {
+                    let mut out = vec![f64::NAN; items.len()];
+                    space.similarities(centroid, items.clone(), &mut out);
+                    for (item, got) in items.zip(out) {
+                        let want = space.similarity(centroid, item);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{config:?} item {item}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assignment_pass_matches_nearest_centroid_on_form_pages() {
+        use cafc_cluster::{kmeans_exec, nearest_centroid, ExecPolicy, KMeansOptions, Partition};
+        let c = mixed_corpus();
+        let one_pass = KMeansOptions::default().with_max_iterations(1);
+        for config in CONFIGS {
+            let space = FormPageSpace::new(&c, config);
+            for seeds in [vec![vec![0], vec![2]], vec![vec![3], vec![1, 2], vec![0]]] {
+                let centroids: Vec<MultiCentroid> =
+                    seeds.iter().map(|s| space.centroid(s)).collect();
+                let nearest: Vec<usize> = (0..c.len())
+                    .map(|item| {
+                        nearest_centroid(&space, centroids.iter().enumerate(), item)
+                            .map_or(0, |(i, _)| i)
+                    })
+                    .collect();
+                let want = Partition::from_assignments(&nearest, seeds.len());
+                let got = kmeans_exec(&space, &seeds, &one_pass, ExecPolicy::Serial);
+                assert_eq!(got.partition, want, "{config:?} {seeds:?}");
+            }
+        }
+    }
+
     #[test]
     fn sparse_kmeans_matches_dense_on_form_pages() {
         use cafc_cluster::{kmeans_exec, kmeans_sparse_exec, ExecPolicy, KMeansOptions};
-        let c = corpus();
-        for config in [
-            FeatureConfig::FcOnly,
-            FeatureConfig::PcOnly,
-            FeatureConfig::combined(),
-            FeatureConfig::WithAnchors {
-                c1: 1.0,
-                c2: 2.0,
-                c3: 1.0,
-            },
-        ] {
+        let c = mixed_corpus();
+        for config in CONFIGS {
             let space = FormPageSpace::new(&c, config);
             let seeds = [vec![0], vec![2]];
+            let reference = kmeans_exec(
+                &PerPair(space),
+                &seeds,
+                &KMeansOptions::strict(),
+                ExecPolicy::Serial,
+            );
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
-                let dense = kmeans_exec(&space, &seeds, &KMeansOptions::strict(), policy);
-                let sparse = kmeans_sparse_exec(&space, &seeds, &KMeansOptions::strict(), policy);
-                assert_eq!(sparse.partition, dense.partition, "{config:?} {policy:?}");
-                assert_eq!(sparse.iterations, dense.iterations, "{config:?} {policy:?}");
+                for out in [
+                    kmeans_exec(&space, &seeds, &KMeansOptions::strict(), policy),
+                    kmeans_sparse_exec(&space, &seeds, &KMeansOptions::strict(), policy),
+                ] {
+                    assert_eq!(out.partition, reference.partition, "{config:?} {policy:?}");
+                    assert_eq!(
+                        out.iterations, reference.iterations,
+                        "{config:?} {policy:?}"
+                    );
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
 use crate::dict::{TermDict, TermId};
 use crate::stem::stem;
 use crate::stopwords::is_stopword;
-use crate::tokenize::{tokenize_with, TokenizeOptions};
+use crate::tokenize::{for_each_token, TokenizeOptions};
+use std::ops::ControlFlow;
 
 /// Configurable text analyzer.
 ///
@@ -41,27 +42,18 @@ impl Analyzer {
     /// Like [`Analyzer::analyze`] but appends into a reusable buffer,
     /// avoiding per-call allocation in the corpus-scale loops.
     pub fn analyze_into(&self, text: &str, dict: &mut TermDict, out: &mut Vec<TermId>) {
-        for token in tokenize_with(text, self.tokenize) {
-            if self.remove_stopwords && is_stopword(&token) {
-                continue;
-            }
-            let term = if self.stem { stem(&token) } else { token };
-            if term.is_empty() {
-                continue;
-            }
-            // Stemming can collapse a content word onto a stopword ("ares"
-            // -> "are"); filter again post-stem so no stopword survives.
-            if self.remove_stopwords && is_stopword(&term) {
-                continue;
-            }
-            out.push(dict.intern(&term));
-        }
+        self.analyze_into_budget(text, dict, out, usize::MAX);
     }
 
-    /// Like [`Analyzer::analyze_into`], but stop once `out` holds `budget`
-    /// terms. Returns `true` when the budget cut the analysis short —
-    /// entity bombs and megabyte attribute dumps yield bounded work instead
-    /// of unbounded dictionaries. A `budget` of `usize::MAX` never trims.
+    /// Like [`Analyzer::analyze_into`], but `out` never grows past
+    /// `budget` terms. Returns `true` when the budget cut the analysis
+    /// short: a term was left out for want of room, and was not interned,
+    /// so entity bombs and megabyte attribute dumps yield bounded work and
+    /// bounded dictionaries. Tokens that analysis drops (stopwords) never
+    /// trip the budget. A `budget` of `usize::MAX` never trims.
+    ///
+    /// Each distinct surface token is analysed once per dictionary (see
+    /// the memo on [`TermDict`]); a repeat costs one lookup.
     pub fn analyze_into_budget(
         &self,
         text: &str,
@@ -69,23 +61,49 @@ impl Analyzer {
         out: &mut Vec<TermId>,
         budget: usize,
     ) -> bool {
-        for token in tokenize_with(text, self.tokenize) {
+        dict.memo_for((self.remove_stopwords, self.stem));
+        for_each_token(text, self.tokenize, |token| {
+            let id = match dict.memo_get(token) {
+                Some(Some(id)) => id,
+                Some(None) => return ControlFlow::Continue(()),
+                None => {
+                    let Some(term) = self.term(token) else {
+                        dict.memo_put(token, None);
+                        return ControlFlow::Continue(());
+                    };
+                    if out.len() >= budget {
+                        return ControlFlow::Break(());
+                    }
+                    let id = dict.intern(&term);
+                    dict.memo_put(token, Some(id));
+                    id
+                }
+            };
             if out.len() >= budget {
-                return true;
+                return ControlFlow::Break(());
             }
-            if self.remove_stopwords && is_stopword(&token) {
-                continue;
-            }
-            let term = if self.stem { stem(&token) } else { token };
-            if term.is_empty() {
-                continue;
-            }
-            if self.remove_stopwords && is_stopword(&term) {
-                continue;
-            }
-            out.push(dict.intern(&term));
+            out.push(id);
+            ControlFlow::Continue(())
+        })
+        .is_break()
+    }
+
+    /// The term `token` analyses to, or `None` when analysis drops it.
+    fn term(&self, token: &str) -> Option<String> {
+        if self.remove_stopwords && is_stopword(token) {
+            return None;
         }
-        false
+        let term = if self.stem {
+            stem(token)
+        } else {
+            token.to_owned()
+        };
+        // Stemming can collapse a content word onto a stopword ("ares"
+        // -> "are"); filter again post-stem so no stopword survives.
+        if term.is_empty() || (self.remove_stopwords && is_stopword(&term)) {
+            return None;
+        }
+        Some(term)
     }
 
     /// Analyze into plain strings (for debugging and golden tests).

@@ -18,10 +18,22 @@ impl TermId {
 }
 
 /// An append-only interner mapping terms to dense ids.
+///
+/// It also keeps a private memo for [`Analyzer`](crate::Analyzer): surface
+/// token → the term id analysis gave it, or `None` when analysis dropped
+/// it (a stopword, an empty stem, or a stem that is a stopword). Analysis
+/// is a pure function of the token and the analyzer's
+/// `(remove_stopwords, stem)` flags, so the memo holds for the flags that
+/// filled it and is cleared when an analyzer with other flags calls in.
+/// It only caches: ids and term order are those of analysing every token
+/// afresh. The memo is never persisted; a dictionary rebuilt from its
+/// terms starts with an empty one.
 #[derive(Debug, Default, Clone)]
 pub struct TermDict {
     by_term: HashMap<String, TermId>,
     terms: Vec<String>,
+    memo: HashMap<Box<str>, Option<TermId>>,
+    memo_flags: Option<(bool, bool)>,
 }
 
 impl TermDict {
@@ -62,6 +74,25 @@ impl TermDict {
     /// True when no terms have been interned.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// Make the memo valid for analysis under `flags`
+    /// (`(remove_stopwords, stem)`), clearing it if other flags filled it.
+    pub(crate) fn memo_for(&mut self, flags: (bool, bool)) {
+        if self.memo_flags != Some(flags) {
+            self.memo.clear();
+            self.memo_flags = Some(flags);
+        }
+    }
+
+    /// The memoized analysis of `token`: `None` on a miss.
+    pub(crate) fn memo_get(&self, token: &str) -> Option<Option<TermId>> {
+        self.memo.get(token).copied()
+    }
+
+    /// Memoize the analysis of `token`.
+    pub(crate) fn memo_put(&mut self, token: &str, term: Option<TermId>) {
+        self.memo.insert(token.into(), term);
     }
 
     /// Iterate `(id, term)` pairs in id order.

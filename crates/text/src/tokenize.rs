@@ -4,6 +4,8 @@
 //! Pure numbers are dropped by default (they are database *contents* —
 //! prices, years — not schema vocabulary), as are one-character tokens.
 
+use std::ops::ControlFlow;
+
 /// Tokenization options.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenizeOptions {
@@ -39,29 +41,86 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Tokenize with explicit options.
 pub fn tokenize_with(text: &str, opts: TokenizeOptions) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
-        } else if !current.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut current), opts);
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut tokens, current, opts);
-    }
+    let _ = for_each_token(text, opts, |token| {
+        tokens.push(token.to_owned());
+        ControlFlow::Continue(())
+    });
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, token: String, opts: TokenizeOptions) {
-    let len = token.chars().count();
-    if len < opts.min_len || len > opts.max_len {
-        return;
+/// Visit the tokens [`tokenize_with`] would return, in order, without
+/// allocating one `String` per token: each token is lowercased into one
+/// buffer reused across tokens, and `visit` sees it as a `&str`. Stops at
+/// the first [`ControlFlow::Break`] and returns it.
+///
+/// ASCII characters take a fast path (`is_ascii_alphanumeric`,
+/// `to_ascii_lowercase`), which agrees with the Unicode calls on ASCII;
+/// every other character goes through `is_alphanumeric` and
+/// `to_lowercase`, so a multi-character lowercase (`'İ'` → `"i̇"`) counts
+/// every character it yields toward the length bounds.
+pub fn for_each_token<F>(text: &str, opts: TokenizeOptions, mut visit: F) -> ControlFlow<()>
+where
+    F: FnMut(&str) -> ControlFlow<()>,
+{
+    let mut token = Token::default();
+    for c in text.chars() {
+        if c.is_ascii() {
+            if c.is_ascii_alphanumeric() {
+                token.push(c.to_ascii_lowercase(), opts);
+                continue;
+            }
+        } else if c.is_alphanumeric() {
+            for lower in c.to_lowercase() {
+                token.push(lower, opts);
+            }
+            continue;
+        }
+        token.flush(opts, &mut visit)?;
     }
-    if !opts.keep_numbers && token.chars().all(|c| c.is_ascii_digit()) {
-        return;
+    token.flush(opts, &mut visit)
+}
+
+/// The token being read: its text (kept only while it fits
+/// [`TokenizeOptions::max_len`], since a longer one is dropped anyway),
+/// its length in characters and whether any character is not a digit.
+#[derive(Default)]
+struct Token {
+    text: String,
+    chars: usize,
+    non_digit: bool,
+}
+
+impl Token {
+    /// Append one (lowercase) character.
+    fn push(&mut self, c: char, opts: TokenizeOptions) {
+        self.non_digit |= !c.is_ascii_digit();
+        self.chars += 1;
+        if self.chars <= opts.max_len {
+            self.text.push(c);
+        }
     }
-    tokens.push(token);
+
+    /// Hand a finished token that passes the filters to `visit`, and
+    /// start the next one.
+    fn flush<F>(&mut self, opts: TokenizeOptions, visit: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&str) -> ControlFlow<()>,
+    {
+        if self.chars == 0 {
+            return ControlFlow::Continue(());
+        }
+        let keep = (opts.min_len..=opts.max_len).contains(&self.chars)
+            && (opts.keep_numbers || self.non_digit);
+        let flow = if keep {
+            visit(&self.text)
+        } else {
+            ControlFlow::Continue(())
+        };
+        self.text.clear();
+        self.chars = 0;
+        self.non_digit = false;
+        flow
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! `cafc-check` property suite for the text substrate: the Porter stemmer
 //! is total and bounded, tokens are clean lowercase alphanumerics, the
 //! analyzer never emits stopwords, and interning hands out dense distinct
-//! ids. Runs offline on every commit; a counterexample found here becomes
-//! a fixed case at the bottom of this file.
+//! ids. Two differential properties hold the fast paths to reference
+//! loops kept here: the visitor tokenizer to a `Vec<String>` tokenizer,
+//! and memoized analysis to analysing every token afresh. Runs offline on
+//! every commit; a counterexample found here becomes a fixed case at the
+//! bottom of this file.
 
 use cafc_check::corpus::any_text;
-use cafc_check::gen::{from_slice, one_of, usizes, vecs, Gen};
+use cafc_check::gen::{bools, from_slice, one_of, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CaseResult, CheckConfig};
-use cafc_text::{is_stopword, stem, tokenize, Analyzer, TermDict};
+use cafc_text::tokenize::{tokenize_with, TokenizeOptions};
+use cafc_text::{is_stopword, stem, tokenize, Analyzer, TermDict, TermId};
 use std::collections::BTreeSet;
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -26,6 +30,185 @@ fn unicode_text(max_pieces: usize) -> Gen<String> {
     let scalar =
         usizes(0, 0x10_FFFF).map(|&c| char::from_u32(c as u32).unwrap_or('\u{FFFD}').to_string());
     vecs(&one_of(&[scalar, any_text(3)]), 0, max_pieces).map(|pieces| pieces.concat())
+}
+
+/// [`unicode_text`] with non-ASCII letters and digits mixed in. `'İ'`
+/// lowercases to two characters, the second a combining mark that is not
+/// alphanumeric, so its tokens fail [`tokens_are_clean`] under both the
+/// visitor and the reference tokenizer; only the differential test uses
+/// this generator.
+fn unicode_letters_text(max_pieces: usize) -> Gen<String> {
+    let letters = from_slice(&["İ", "É", "ß", "Σ", "ǅ", "٣", "Ⅻ", "K"]).map(|s| (*s).to_owned());
+    vecs(&one_of(&[unicode_text(4), letters]), 0, max_pieces).map(|pieces| pieces.concat())
+}
+
+/// The tokenizer as it was before the visitor: one owned, lowercased
+/// `String` per token, filtered by its character count. The oracle for
+/// [`tokenize_with`].
+fn reference_tokenize(text: &str, opts: TokenizeOptions) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut current = String::new();
+    let mut push = |token: String| {
+        let len = token.chars().count();
+        if len < opts.min_len || len > opts.max_len {
+            return;
+        }
+        if !opts.keep_numbers && token.chars().all(|c| c.is_ascii_digit()) {
+            return;
+        }
+        tokens.push(token);
+    };
+    for c in text.chars() {
+        if c.is_alphanumeric() {
+            current.extend(c.to_lowercase());
+        } else if !current.is_empty() {
+            push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        push(current);
+    }
+    tokens
+}
+
+/// Tokenizer options with small length bounds, so both bounds bind.
+fn tokenize_options() -> Gen<TokenizeOptions> {
+    pairs(&pairs(&usizes(0, 4), &usizes(0, 12)), &bools()).map(|((min_len, max_len), keep)| {
+        TokenizeOptions {
+            min_len: *min_len,
+            max_len: *max_len,
+            keep_numbers: *keep,
+        }
+    })
+}
+
+/// The visitor tokenizer returns exactly the oracle's tokens, for any
+/// Unicode text and any length bounds.
+#[test]
+fn visitor_tokenizer_matches_owned_string_oracle() {
+    let cases = pairs(&unicode_letters_text(60), &tokenize_options());
+    check!(CheckConfig::new(), cases, |(text, opts)| {
+        require_eq!(tokenize_with(text, *opts), reference_tokenize(text, *opts));
+        Ok(())
+    });
+}
+
+/// Analysis as it was before the memo: every token tokenized, filtered,
+/// stemmed and interned afresh, except that a budget trips only on a term
+/// that would not fit (never interned), not on a dropped token.
+fn reference_analyze(
+    analyzer: &Analyzer,
+    text: &str,
+    dict: &mut TermDict,
+    out: &mut Vec<TermId>,
+    budget: usize,
+) -> bool {
+    for token in reference_tokenize(text, analyzer.tokenize) {
+        if analyzer.remove_stopwords && is_stopword(&token) {
+            continue;
+        }
+        let term = if analyzer.stem { stem(&token) } else { token };
+        if term.is_empty() || (analyzer.remove_stopwords && is_stopword(&term)) {
+            continue;
+        }
+        if out.len() >= budget {
+            return true;
+        }
+        out.push(dict.intern(&term));
+    }
+    false
+}
+
+/// The analyzer with flag bits `b`: remove stopwords (1), stem (2), keep
+/// numbers (4).
+fn analyzer(b: usize) -> Analyzer {
+    Analyzer {
+        tokenize: TokenizeOptions {
+            keep_numbers: b & 4 != 0,
+            ..TokenizeOptions::default()
+        },
+        remove_stopwords: b & 1 != 0,
+        stem: b & 2 != 0,
+    }
+}
+
+/// Texts over a small vocabulary, so tokens repeat: stopwords, words that
+/// stem onto a stopword ("ares" → "are"), shared stems, numbers, mixed
+/// case, non-ASCII and overlong words.
+fn repetitive_text() -> Gen<String> {
+    let vocab = [
+        "the",
+        "The",
+        "of",
+        "and",
+        "ares",
+        "is",
+        "flights",
+        "Flight",
+        "booking",
+        "books",
+        "cheap",
+        "relational",
+        "hopping",
+        "2024",
+        "mp3",
+        "x",
+        "İstanbul",
+        "café",
+        "ÉTÉ",
+        "straße",
+        "٣٤",
+        "abcdefghijklmnopqrstuvwxyzabcdef",
+        " ",
+        " ",
+        ", ",
+        "-",
+        "!\n",
+    ];
+    vecs(&from_slice(&vocab), 0, 40).map(|pieces| pieces.concat())
+}
+
+/// One step against a shared dictionary: `None` rebuilds the dictionary
+/// from its terms, `Some` analyses a text with flag bits and a budget
+/// (12 stands for `usize::MAX`).
+type Step = Option<(usize, (String, usize))>;
+
+fn steps() -> Gen<Vec<Step>> {
+    let analyze = pairs(&usizes(0, 7), &pairs(&repetitive_text(), &usizes(0, 12)));
+    let step = pairs(&usizes(0, 5), &analyze).map(|(op, a)| (*op > 0).then(|| a.clone()));
+    vecs(&step, 1, 12)
+}
+
+/// Memoized analysis equals the reference step for step: the same ids,
+/// the same trim flag and, at the end, the same dictionary in the same
+/// order — with random budgets, analyzers of different flags sharing one
+/// dictionary, and the dictionary rebuilt from its terms mid-way.
+#[test]
+fn memoized_analysis_matches_reference() {
+    check!(CheckConfig::new(), steps(), |steps: &Vec<Step>| {
+        let mut dict = TermDict::new();
+        let mut reference = TermDict::new();
+        for step in steps {
+            let Some((flags, (text, budget))) = step else {
+                let mut rebuilt = TermDict::new();
+                for (_, term) in dict.iter() {
+                    rebuilt.intern(term);
+                }
+                dict = rebuilt;
+                continue;
+            };
+            let a = analyzer(*flags);
+            let budget = if *budget == 12 { usize::MAX } else { *budget };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let trimmed = a.analyze_into_budget(text, &mut dict, &mut got, budget);
+            let want_trimmed = reference_analyze(&a, text, &mut reference, &mut want, budget);
+            require_eq!(got, want);
+            require_eq!(trimmed, want_trimmed);
+        }
+        let terms = |d: &TermDict| d.iter().map(|(_, t)| t.to_owned()).collect::<Vec<_>>();
+        require_eq!(terms(&dict), terms(&reference));
+        Ok(())
+    });
 }
 
 /// The stemmer is total and never grows a word by more than one char (the
@@ -132,6 +315,49 @@ fn dict_ids_distinct() {
         );
         Ok(())
     });
+}
+
+/// What the memo costs when it never hits: 200 000 distinct words through
+/// one fresh dictionary, memoized analysis against the reference loop,
+/// best of five alternated rounds each. A timing, not a check, so it is
+/// ignored by default; run it with
+/// `cargo test --release -p cafc-text --test props -- --ignored --nocapture memo_cost`.
+#[test]
+#[ignore]
+fn memo_cost_when_every_token_is_distinct() {
+    let words: Vec<String> = (0..200_000usize)
+        .map(|i| {
+            let (mut x, mut word) = (i + 26 * 26, String::new());
+            while x > 0 {
+                word.push(char::from(b'a' + (x % 26) as u8));
+                x /= 26;
+            }
+            word
+        })
+        .collect();
+    let text = words.join(" ");
+    let analyzer = Analyzer::default();
+    let (mut memo, mut reference) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let start = std::time::Instant::now();
+        analyzer.analyze_into(&text, &mut TermDict::new(), &mut Vec::new());
+        memo = memo.min(start.elapsed().as_secs_f64());
+        let start = std::time::Instant::now();
+        reference_analyze(
+            &analyzer,
+            &text,
+            &mut TermDict::new(),
+            &mut Vec::new(),
+            usize::MAX,
+        );
+        reference = reference.min(start.elapsed().as_secs_f64());
+    }
+    let per_token = |s: f64| s / words.len() as f64 * 1e9;
+    println!(
+        "all tokens distinct: memoized {:.0} ns/token, reference {:.0} ns/token",
+        per_token(memo),
+        per_token(reference)
+    );
 }
 
 /// A counterexample the tokenizer/analyzer properties once shrank to:

@@ -7,16 +7,32 @@
 use cafc_text::TermId;
 
 /// An immutable sparse vector over term ids.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseVector {
     /// `(term, weight)` entries, strictly sorted by term; weights non-zero.
     entries: Vec<(TermId, f64)>,
+    /// Euclidean norm of `entries`, computed once at construction.
+    norm: f64,
+}
+
+impl Default for SparseVector {
+    fn default() -> Self {
+        SparseVector::new(Vec::new())
+    }
 }
 
 impl SparseVector {
     /// The empty vector.
     pub fn empty() -> Self {
         SparseVector::default()
+    }
+
+    /// Freeze `entries` (already in canonical form), computing the norm
+    /// once: the vector is immutable, so every later [`SparseVector::norm`]
+    /// is this one fold's bits.
+    fn new(entries: Vec<(TermId, f64)>) -> Self {
+        let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+        SparseVector { entries, norm }
     }
 
     /// Build from entries that may be unsorted and may repeat term ids;
@@ -32,7 +48,7 @@ impl SparseVector {
             }
         }
         merged.retain(|(_, w)| *w != 0.0);
-        SparseVector { entries: merged }
+        SparseVector::new(merged)
     }
 
     /// Entries, strictly sorted by term id.
@@ -78,14 +94,14 @@ impl SparseVector {
         acc
     }
 
-    /// Euclidean norm.
+    /// Euclidean norm, computed once when the vector was built.
     pub fn norm(&self) -> f64 {
-        self.entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt()
+        self.norm
     }
 
     /// Cosine similarity (Equation 2). Zero when either vector is empty.
     pub fn cosine(&self, other: &SparseVector) -> f64 {
-        let denom = self.norm() * other.norm();
+        let denom = self.norm * other.norm;
         if denom == 0.0 {
             return 0.0;
         }
@@ -99,9 +115,7 @@ impl SparseVector {
         if factor == 0.0 {
             return SparseVector::empty();
         }
-        SparseVector {
-            entries: self.entries.iter().map(|&(t, w)| (t, w * factor)).collect(),
-        }
+        SparseVector::new(self.entries.iter().map(|&(t, w)| (t, w * factor)).collect())
     }
 
     /// Element-wise sum.
@@ -132,7 +146,7 @@ impl SparseVector {
         }
         out.extend_from_slice(&self.entries[i..]);
         out.extend_from_slice(&other.entries[j..]);
-        SparseVector { entries: out }
+        SparseVector::new(out)
     }
 
     /// The element-wise sum of a set of vectors (empty for an empty set).
@@ -177,13 +191,13 @@ impl SparseVector {
         // A term that cancelled out and came back was pushed twice.
         touched.sort_unstable();
         touched.dedup();
-        SparseVector {
-            entries: touched
+        SparseVector::new(
+            touched
                 .into_iter()
                 .filter(|t| present[t.index()])
                 .map(|t| (t, sums[t.index()]))
                 .collect(),
-        }
+        )
     }
 
     /// The centroid (arithmetic mean, Equation 4) of a set of vectors:
@@ -280,6 +294,24 @@ mod tests {
         let v = vec_of(&[(1, 3.0), (2, 4.0)]);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(SparseVector::empty().norm(), 0.0);
+    }
+
+    #[test]
+    fn stored_norm_is_the_fold_of_the_entries() {
+        let fold = |v: &SparseVector| v.entries().iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+        let a = vec_of(&[(1, 0.3), (4, 1.7), (9, 2.5)]);
+        let b = vec_of(&[(4, -1.7), (5, 0.1)]);
+        for v in [
+            SparseVector::empty(),
+            SparseVector::default(),
+            a.clone(),
+            a.scale(0.37),
+            a.add(&b),
+            SparseVector::sum([&a, &b]),
+            SparseVector::centroid([&a, &b, &a]),
+        ] {
+            assert_eq!(v.norm().to_bits(), fold(&v).to_bits(), "{v:?}");
+        }
     }
 
     #[test]

@@ -2,107 +2,102 @@
 //!
 //! The bench files are a contract: every later PR gets held to their
 //! numbers, so their schemas only ever gain fields — never lose or rename
-//! them. This suite parses the committed artifacts with a deliberately
-//! small validator (the workspace's `serde_json` is a stub) and pins:
+//! them. This suite parses the committed artifacts with the workspace's
+//! JSON module (`cafc::obs::json`) and pins:
 //!
 //! * `BENCH_8.json` — PR 8's loadgen schema (flat object, loadgen keys);
 //! * `BENCH_10.json` — the batch schema (digest + stages);
 //! * `BENCH_12.json` — alternated parent/change pairs of the repo
-//!   benchmark: one run per line with its side, seed, run order, digest
+//!   benchmark: one run per record with its side, seed, run order, digest
 //!   line and `run.sh`'s last JSON line, at least ten `stream` pairs, and
 //!   the pinned seed-10 digests;
+//! * `BENCH_15.json` — the same pairs schema with at least ten pairs on
+//!   each of `batch`, `serve-keyword` and `stream`, one traced seed-10
+//!   batch pair, and a parent/change pair of the 10^5-page `cafc bench`
+//!   at one thread count and the pinned 10^5 digest;
 //! * digest determinism — two same-config `run_bench` calls render
 //!   byte-identical digests, the property the CI `bench-smoke` job diffs
 //!   end to end through the CLI.
 
+use cafc::obs::json::{parse, Value};
 use cafc::{run_bench, BenchConfig};
 use cafc_corpus::{generate_shard, ShardedCorpusConfig};
 
-/// Read a committed repo-root artifact.
-fn committed(name: &str) -> String {
+/// Read and parse a committed repo-root artifact.
+fn committed(name: &str) -> Value {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-    std::fs::read_to_string(format!("{path}{name}"))
-        .unwrap_or_else(|e| panic!("cannot read committed {name}: {e}"))
+    let text = std::fs::read_to_string(format!("{path}{name}"))
+        .unwrap_or_else(|e| panic!("cannot read committed {name}: {e}"));
+    parse(&text).unwrap_or_else(|e| panic!("{name} is not JSON: {e:?}"))
 }
 
-/// The JSON value kinds the validator distinguishes.
+/// The JSON value kinds the schemas distinguish.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Kind {
-    /// An unsigned integer literal.
+    /// A non-negative integer.
     Uint,
-    /// Any number literal (integer or float).
+    /// Any number.
     Number,
-    /// A quoted 16-hex-digit hash.
+    /// A string of 16 hex digits.
     Hash,
-    /// A bare `true`/`false`.
+    /// `true` or `false`.
     Bool,
-    /// A quoted string.
+    /// A string.
     Str,
+    /// An object.
+    Object,
+    /// An array.
+    Array,
 }
 
-/// Assert `"key": <value>` appears in `json` with a value of `kind`.
-/// Scans textually — enough for a fixed-schema document we render
-/// ourselves, with no nested reuse of key names across kinds.
-fn require_key(json: &str, key: &str, kind: Kind) {
-    let needle = format!("\"{key}\":");
-    let at = json
-        .find(&needle)
-        .unwrap_or_else(|| panic!("missing key {key:?}"));
-    let value = json[at + needle.len()..].trim_start();
-    let ok = match kind {
-        Kind::Uint => value.chars().next().is_some_and(|c| c.is_ascii_digit()),
-        Kind::Number => value
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_digit() || c == '-'),
-        Kind::Hash => {
-            value.starts_with('"')
-                && value.len() > 17
-                && value[1..17].chars().all(|c| c.is_ascii_hexdigit())
-                && value[17..].starts_with('"')
-        }
-        Kind::Bool => value.starts_with("true") || value.starts_with("false"),
-        Kind::Str => value.starts_with('"'),
-    };
-    assert!(
-        ok,
-        "key {key:?} has wrong shape for {kind:?}: {:?}…",
-        &value[..value.len().min(24)]
-    );
-}
-
-/// Braces and brackets balance — the artifact is at least well-formed.
-fn require_balanced(json: &str) {
-    let (mut brace, mut bracket, mut in_str) = (0i64, 0i64, false);
-    let mut prev = '\0';
-    for c in json.chars() {
-        if in_str {
-            if c == '"' && prev != '\\' {
-                in_str = false;
-            }
-        } else {
-            match c {
-                '"' => in_str = true,
-                '{' => brace += 1,
-                '}' => brace -= 1,
-                '[' => bracket += 1,
-                ']' => bracket -= 1,
-                _ => {}
-            }
-            assert!(brace >= 0 && bracket >= 0, "close before open");
-        }
-        prev = if prev == '\\' && c == '\\' { '\0' } else { c };
+fn is_kind(value: &Value, kind: Kind) -> bool {
+    match (kind, value) {
+        (Kind::Uint, Value::Number(n)) => *n >= 0.0 && n.fract() == 0.0,
+        (Kind::Number, Value::Number(_)) => true,
+        (Kind::Hash, Value::String(s)) => s.len() == 16 && s.chars().all(|c| c.is_ascii_hexdigit()),
+        (Kind::Bool, Value::Bool(_)) => true,
+        (Kind::Str, Value::String(_)) => true,
+        (Kind::Object, Value::Object(_)) => true,
+        (Kind::Array, Value::Array(_)) => true,
+        _ => false,
     }
-    assert_eq!(brace, 0, "unbalanced braces");
-    assert_eq!(bracket, 0, "unbalanced brackets");
-    assert!(!in_str, "unterminated string");
+}
+
+/// `doc[key]`, which must exist and be of `kind`.
+fn require_key<'a>(doc: &'a Value, key: &str, kind: Kind) -> &'a Value {
+    let value = doc
+        .get(key)
+        .unwrap_or_else(|| panic!("missing key {key:?}"));
+    assert!(
+        is_kind(value, kind),
+        "key {key:?} is not {kind:?}: {value:?}"
+    );
+    value
+}
+
+fn str_of<'a>(doc: &'a Value, key: &str) -> &'a str {
+    require_key(doc, key, Kind::Str)
+        .as_str()
+        .unwrap_or_default()
+}
+
+fn array_of<'a>(doc: &'a Value, key: &str) -> &'a [Value] {
+    require_key(doc, key, Kind::Array)
+        .as_array()
+        .unwrap_or_default()
+}
+
+fn number_of(doc: &Value, key: &str) -> f64 {
+    match require_key(doc, key, Kind::Number) {
+        Value::Number(n) => *n,
+        _ => f64::NAN,
+    }
 }
 
 #[test]
 fn bench_8_keeps_the_loadgen_schema() {
-    let json = committed("BENCH_8.json");
-    require_balanced(&json);
-    assert!(json.contains("\"bench\": \"loadgen\""), "bench tag changed");
+    let doc = committed("BENCH_8.json");
+    assert_eq!(str_of(&doc, "bench"), "loadgen", "bench tag changed");
     for (key, kind) in [
         ("seed", Kind::Uint),
         ("queries", Kind::Uint),
@@ -121,15 +116,15 @@ fn bench_8_keeps_the_loadgen_schema() {
         ("index_build_ms", Kind::Number),
         ("pages_per_sec", Kind::Number),
     ] {
-        require_key(&json, key, kind);
+        require_key(&doc, key, kind);
     }
 }
 
-#[test]
-fn bench_10_keeps_the_batch_schema() {
-    let json = committed("BENCH_10.json");
-    require_balanced(&json);
-    assert!(json.contains("\"bench\": \"batch\""), "bench tag changed");
+/// The `cafc bench --json` batch report: the digest object, the stage
+/// list in pipeline order, and the machine-dependent totals.
+fn require_batch_report(doc: &Value) -> &Value {
+    assert_eq!(str_of(doc, "bench"), "batch", "bench tag changed");
+    let digest = require_key(doc, "digest", Kind::Object);
     for (key, kind) in [
         ("pages", Kind::Uint),
         ("shard_pages", Kind::Uint),
@@ -147,63 +142,68 @@ fn bench_10_keeps_the_batch_schema() {
         ("assignment_hash", Kind::Hash),
         ("cluster_sizes_hash", Kind::Hash),
         ("hac_hash", Kind::Hash),
+    ] {
+        require_key(digest, key, kind);
+    }
+    for (key, kind) in [
         ("threads", Kind::Uint),
         ("peak_rss_kb", Kind::Uint),
         ("total_wall_ms", Kind::Number),
-        ("digest", Kind::Str), // object value — the `{` fails Str, so:
-    ]
-    .into_iter()
-    .filter(|(k, _)| *k != "digest")
-    {
-        require_key(&json, key, kind);
+    ] {
+        require_key(doc, key, kind);
     }
-    assert!(json.contains("\"digest\": {"), "digest object missing");
     // One stage entry per batch leg, in pipeline order.
-    let order = ["gen", "ingest", "vectorize", "kmeans", "hac_sample"];
-    let mut last = 0;
-    for stage in order {
-        let needle = format!("\"stage\": \"{stage}\"");
-        let at = json
-            .find(&needle)
-            .unwrap_or_else(|| panic!("no {stage} stage"));
-        assert!(at > last, "stage {stage} out of order");
-        last = at;
-    }
-    for key in ["items", "wall_ms", "pages_per_sec"] {
-        assert!(
-            json.matches(&format!("\"{key}\":")).count() >= order.len(),
-            "stage field {key} missing from some stages"
-        );
-    }
+    let stages: Vec<&str> = array_of(doc, "stages")
+        .iter()
+        .map(|stage| {
+            require_key(stage, "items", Kind::Uint);
+            require_key(stage, "wall_ms", Kind::Number);
+            require_key(stage, "pages_per_sec", Kind::Number);
+            str_of(stage, "stage")
+        })
+        .collect();
+    assert_eq!(
+        stages,
+        ["gen", "ingest", "vectorize", "kmeans", "hac_sample"],
+        "stages out of order"
+    );
+    digest
+}
+
+#[test]
+fn bench_10_keeps_the_batch_schema() {
+    let doc = committed("BENCH_10.json");
+    let digest = require_batch_report(&doc);
     // The committed artifact is the accepted 10^5 run.
-    require_key(&json, "pages", Kind::Uint);
-    assert!(
-        json.contains("\"pages\": 100000"),
+    assert_eq!(
+        number_of(digest, "pages"),
+        100_000.0,
         "BENCH_10 must be the 10^5 run"
     );
 }
 
-#[test]
-fn bench_12_keeps_the_pairs_schema() {
-    let json = committed("BENCH_12.json");
-    require_balanced(&json);
-    assert!(json.contains("\"bench\": \"pairs\""), "bench tag changed");
-    require_key(&json, "parent", Kind::Str);
-    require_key(&json, "command", Kind::Str);
-    for key in ["digest_seed_10", "summary", "runs", "trace_stream_seed_10"] {
-        assert!(json.contains(&format!("\"{key}\":")), "{key} missing");
+/// The pairs schema shared by `BENCH_12.json` and `BENCH_15.json`: the
+/// header, the pinned seed-10 digests, and one complete, correct record
+/// per run with equal parent and change counts per workload. Returns the
+/// runs.
+fn require_pairs(doc: &Value) -> &[Value] {
+    assert_eq!(str_of(doc, "bench"), "pairs", "bench tag changed");
+    str_of(doc, "parent");
+    str_of(doc, "command");
+    let digests = require_key(doc, "digest_seed_10", Kind::Object);
+    for (workload, hash) in [
+        ("stream", "0b260a68bd058677"),
+        ("batch", "552dbcd8bdd5fd4c"),
+        ("serve-keyword", "579582f2f0c7b00c"),
+    ] {
+        assert!(
+            str_of(digests, workload).contains(hash),
+            "seed-10 digest {hash} missing"
+        );
     }
-    // The pinned seed-10 digests, one per workload.
-    for hash in ["0b260a68bd058677", "552dbcd8bdd5fd4c", "579582f2f0c7b00c"] {
-        assert!(json.contains(hash), "seed-10 digest {hash} missing");
-    }
-    // One run per line, each a complete record.
-    let runs: Vec<&str> = json
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with("{\"workload\":") && l.contains("\"last_line\":"))
-        .collect();
-    for run in &runs {
+    require_key(doc, "summary", Kind::Array);
+    let runs = array_of(doc, "runs");
+    for run in runs {
         for (key, kind) in [
             ("workload", Kind::Str),
             ("seconds", Kind::Uint),
@@ -212,16 +212,18 @@ fn bench_12_keeps_the_pairs_schema() {
             ("side", Kind::Str),
             ("run_order", Kind::Uint),
             ("digest", Kind::Str),
-            ("correct", Kind::Bool),
-            ("attempted", Kind::Uint),
-            ("failed", Kind::Uint),
         ] {
             require_key(run, key, kind);
         }
-        assert!(
-            run.contains("\"correct\": true"),
-            "a recorded run failed its checks"
+        let last = require_key(run, "last_line", Kind::Object);
+        require_key(last, "attempted", Kind::Uint);
+        require_key(last, "failed", Kind::Uint);
+        assert_eq!(
+            last.get("correct"),
+            Some(&Value::Bool(true)),
+            "a recorded run failed its checks: {run:?}"
         );
+        let metrics = require_key(last, "metrics", Kind::Object);
         for metric in [
             "setup_s",
             "ops_per_s",
@@ -229,28 +231,83 @@ fn bench_12_keeps_the_pairs_schema() {
             "latency_p90_ms",
             "peak_rss_mb",
         ] {
-            assert!(
-                run.contains(&format!("\"{metric}\": {{\"value\": ")),
-                "run without {metric}: {run}"
-            );
+            let metric = require_key(metrics, metric, Kind::Object);
+            require_key(metric, "value", Kind::Number);
         }
     }
-    let count = |workload: &str, side: &str| {
-        runs.iter()
-            .filter(|r| r.starts_with(&format!("{{\"workload\": \"{workload}\"")))
-            .filter(|r| r.contains(&format!("\"side\": \"{side}\"")))
-            .count()
-    };
     for workload in ["stream", "batch", "serve-keyword"] {
         assert_eq!(
-            count(workload, "parent"),
-            count(workload, "change"),
+            count(runs, workload, "parent"),
+            count(runs, workload, "change"),
             "{workload}: unpaired runs"
         );
     }
+    runs
+}
+
+/// Runs of `workload` on `side`.
+fn count(runs: &[Value], workload: &str, side: &str) -> usize {
+    runs.iter()
+        .filter(|run| run.get("workload").and_then(Value::as_str) == Some(workload))
+        .filter(|run| run.get("side").and_then(Value::as_str) == Some(side))
+        .count()
+}
+
+#[test]
+fn bench_12_keeps_the_pairs_schema() {
+    let doc = committed("BENCH_12.json");
+    let runs = require_pairs(&doc);
+    require_key(&doc, "trace_stream_seed_10", Kind::Array);
     assert!(
-        count("stream", "change") >= 10,
+        count(runs, "stream", "change") >= 10,
         "fewer than ten stream pairs"
+    );
+}
+
+#[test]
+fn bench_15_keeps_the_pairs_trace_and_scale_schema() {
+    let doc = committed("BENCH_15.json");
+    let runs = require_pairs(&doc);
+    for workload in ["batch", "serve-keyword", "stream"] {
+        assert!(
+            count(runs, workload, "change") >= 10,
+            "fewer than ten {workload} pairs"
+        );
+    }
+    // The traced seed-10 batch pair: self time per span and the
+    // per-layer split, one record per side.
+    let traced = array_of(&doc, "trace_batch_seed_10");
+    for side in ["parent", "change"] {
+        let run = traced
+            .iter()
+            .find(|run| run.get("side").and_then(Value::as_str) == Some(side))
+            .unwrap_or_else(|| panic!("no traced {side} run"));
+        require_key(run, "run_order", Kind::Uint);
+        let self_time = require_key(run, "self_time_ms", Kind::Object);
+        require_key(self_time, "model.build", Kind::Number);
+        require_key(self_time, "cluster.kmeans", Kind::Number);
+        let per_layer = require_key(run, "per_layer", Kind::Object);
+        require_key(per_layer, "text.analyze_us", Kind::Number);
+        require_key(per_layer, "cluster.kmeans_s", Kind::Number);
+    }
+    // The 10^5-page `cafc bench` pair: full batch reports at one thread
+    // count, both at the pinned digest.
+    let scale = array_of(&doc, "scale_1e5");
+    let mut threads = Vec::new();
+    for side in ["parent", "change"] {
+        let run = scale
+            .iter()
+            .find(|run| run.get("side").and_then(Value::as_str) == Some(side))
+            .unwrap_or_else(|| panic!("no 10^5 {side} run"));
+        let report = require_key(run, "report", Kind::Object);
+        let digest = require_batch_report(report);
+        assert_eq!(number_of(digest, "pages"), 100_000.0);
+        assert_eq!(str_of(digest, "assignment_hash"), "627b07e2f691f549");
+        threads.push(number_of(report, "threads"));
+    }
+    assert_eq!(
+        threads[0], threads[1],
+        "10^5 pair at different thread counts"
     );
 }
 

@@ -7,22 +7,50 @@
 //! * the accounting identity — every generated page is ok, degraded or
 //!   quarantined, and the report balances;
 //! * partition validity — every kept page in exactly one cluster;
-//! * sparse ≡ dense — the candidate-index k-means kernel is bit-identical
-//!   to the dense reference on the real `FormPageSpace`;
+//! * batched ≡ per-pair — k-means scoring each centroid against runs of
+//!   items (`FormPageSpace::similarities`, a gather over a dense scatter)
+//!   is bit-identical to k-means scoring one `similarity` call per
+//!   (item, centroid) pair on the real `FormPageSpace`;
 //! * policy invariance — `ExecPolicy::Serial` and `Parallel` produce
 //!   byte-identical corpora and partitions.
 
+use cafc::MultiCentroid;
 use cafc::{
     ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, KMeansOptions,
     ModelOptions,
 };
-use cafc_cluster::{kmeans_exec, kmeans_sparse_exec, random_singleton_seeds, ClusterSpace};
+use cafc_cluster::{kmeans_exec, random_singleton_seeds, ClusterSpace};
 use cafc_corpus::{generate_sharded, ShardedCorpusConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const K: usize = 8;
 const SEED: u64 = 10;
+
+/// The per-pair reference: `FormPageSpace` with the default
+/// `ClusterSpace::similarities`, so k-means scores one `similarity` call
+/// (a sparse merge per feature space) per (item, centroid) pair.
+struct PerPair<'a>(&'a FormPageSpace<'a>);
+
+impl ClusterSpace for PerPair<'_> {
+    type Centroid = MultiCentroid;
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn centroid(&self, members: &[usize]) -> MultiCentroid {
+        self.0.centroid(members)
+    }
+
+    fn similarity(&self, centroid: &MultiCentroid, item: usize) -> f64 {
+        self.0.similarity(centroid, item)
+    }
+
+    fn centroid_similarity(&self, a: &MultiCentroid, b: &MultiCentroid) -> f64 {
+        self.0.centroid_similarity(a, b)
+    }
+}
 
 fn corpus_cfg(pages: usize) -> ShardedCorpusConfig {
     ShardedCorpusConfig::new()
@@ -76,30 +104,31 @@ fn run_at(pages: usize) {
         );
     }
 
-    // ---- clustering: sparse ≡ dense ≡ every policy ------------------
+    // ---- clustering: batched ≡ per-pair ≡ every policy --------------
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let n = space.len();
     assert_eq!(n, report.kept.len());
     let seeds = random_singleton_seeds(&space, K, &mut StdRng::seed_from_u64(SEED));
     let opts = KMeansOptions::default();
-    let dense = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let sparse = kmeans_sparse_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let sparse_par = kmeans_sparse_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
+    let per_pair = kmeans_exec(&PerPair(&space), &seeds, &opts, ExecPolicy::Serial);
+    let batched = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
+    let batched_par = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
 
     assert_eq!(
-        dense.partition.clusters(),
-        sparse.partition.clusters(),
-        "sparse kernel diverged from the dense reference"
+        per_pair.partition.clusters(),
+        batched.partition.clusters(),
+        "batched scoring diverged from the per-pair reference"
     );
-    assert_eq!(dense.iterations, sparse.iterations);
+    assert_eq!(per_pair.iterations, batched.iterations);
+    assert_eq!(per_pair.converged, batched.converged);
     assert_eq!(
-        sparse.partition.clusters(),
-        sparse_par.partition.clusters(),
-        "sparse kernel diverged across policies"
+        batched.partition.clusters(),
+        batched_par.partition.clusters(),
+        "batched scoring diverged across policies"
     );
 
     // Partition validity: every kept page in exactly one cluster.
-    let mut assigned: Vec<usize> = sparse
+    let mut assigned: Vec<usize> = batched
         .partition
         .clusters()
         .iter()
@@ -108,7 +137,7 @@ fn run_at(pages: usize) {
         .collect();
     assigned.sort_unstable();
     assert_eq!(assigned, (0..n).collect::<Vec<_>>());
-    assert!(sparse.partition.num_clusters() <= K);
+    assert!(batched.partition.num_clusters() <= K);
 }
 
 /// The CI smoke leg: 10^4 seeded pages through the whole battery. Set
