@@ -10,7 +10,7 @@
 
 use crate::ingest::{DegradedReason, IngestError, IngestLimits, IngestReport, PageOutcome};
 use cafc_exec::{par_chunks_obs, par_map_slice, ExecPolicy};
-use cafc_html::{located_text, parse, strip_control_chars, Document, ParseStats, TextLocation};
+use cafc_html::{parse, parse_into, strip_control_chars, LocatedSink, ParseStats, TextLocation};
 use cafc_obs::Obs;
 use cafc_text::{Analyzer, TermDict, TermId};
 use cafc_vsm::{weigh, CountsBuilder, DocumentFrequencies, IdfScheme, SparseVector, TfScheme};
@@ -19,8 +19,6 @@ use cafc_webgraph::{PageId, WebGraph};
 /// Pages per work unit when vectorization fans out. Fixed (never derived
 /// from the thread count) so chunk boundaries — and therefore term-id
 /// assignment order — are identical under every [`ExecPolicy`].
-/// Checkpoint batches (resume.rs) are rounded up to a multiple of this so
-/// a resumed run reproduces the same chunk boundaries.
 pub(crate) const PAGE_CHUNK: usize = 16;
 
 /// The `LOC_i` factor of Equation 1: a multiplier per text location.
@@ -233,9 +231,7 @@ impl FormPageCorpus {
             |range| {
                 let mut local = LocalVectors::default();
                 for &html in &pages[range] {
-                    let (pc, fc) = vectorize_page(html, opts, &mut local.dict, &mut local.term_buf);
-                    local.pc.push(pc);
-                    local.fc.push(fc);
+                    local.push(html, opts);
                 }
                 local
             },
@@ -493,10 +489,7 @@ impl FormPageCorpus {
             |range| {
                 let mut local = LocalVectors::default();
                 for &page in &pages[range] {
-                    let html = graph.html(page).unwrap_or("");
-                    let (pc, fc) = vectorize_page(html, opts, &mut local.dict, &mut local.term_buf);
-                    local.pc.push(pc);
-                    local.fc.push(fc);
+                    local.push(graph.html(page).unwrap_or(""), opts);
                 }
                 local
             },
@@ -545,6 +538,7 @@ impl FormPageCorpus {
                     }
                 }
             }
+            counts.iter_mut().for_each(CountsBuilder::fold);
             counts
         });
         drop(_anchor_span);
@@ -568,10 +562,10 @@ impl FormPageCorpus {
         let mut pc_df = DocumentFrequencies::new();
         let mut fc_df = DocumentFrequencies::new();
         for c in &pc_counts {
-            pc_df.add_document(c.term_ids());
+            pc_df.add_counts(c);
         }
         for c in &fc_counts {
-            fc_df.add_document(c.term_ids());
+            fc_df.add_counts(c);
         }
         // Each page's Equation-1 weighting is one closure -> the same floats
         // under every policy.
@@ -586,7 +580,7 @@ impl FormPageCorpus {
             Some(counts) => {
                 let mut adf = DocumentFrequencies::new();
                 for c in &counts {
-                    adf.add_document(c.term_ids());
+                    adf.add_counts(c);
                 }
                 par_map_slice(policy, &counts, |_, c| weigh(c, &adf, opts.tf, opts.idf))
             }
@@ -613,6 +607,22 @@ struct LocalVectors {
     term_buf: Vec<TermId>,
     pc: Vec<CountsBuilder>,
     fc: Vec<CountsBuilder>,
+}
+
+impl LocalVectors {
+    /// Count one page, with no limits: the ingest pass without a budget.
+    fn push(&mut self, html: &str, opts: &ModelOptions) {
+        let page = count_page(
+            html,
+            opts,
+            usize::MAX,
+            &mut self.dict,
+            &mut self.term_buf,
+            &Obs::disabled(),
+        );
+        self.pc.push(page.pc);
+        self.fc.push(page.fc);
+    }
 }
 
 /// Re-base chunk-local term ids onto one shared dictionary, in chunk order.
@@ -775,37 +785,119 @@ pub(crate) fn emit_ingest_metrics(report: &IngestReport, obs: &Obs) {
     }
 }
 
-/// Vectorize one page into PC/FC count accumulators against `dict`.
-fn vectorize_page(
-    html: &str,
-    opts: &ModelOptions,
-    dict: &mut TermDict,
-    term_buf: &mut Vec<TermId>,
-) -> (CountsBuilder, CountsBuilder) {
-    let doc = parse(html);
-    let mut pc = CountsBuilder::new();
-    let mut fc = CountsBuilder::new();
-    for lt in located_text(&doc) {
-        term_buf.clear();
-        opts.analyzer.analyze_into(&lt.text, dict, term_buf);
-        let w = opts.weights.weight(lt.location);
-        if lt.location.is_form() {
-            // Form text belongs to both spaces: FC by definition, and PC
-            // covers "all words within the HTML tags".
-            fc.add_all(term_buf.iter().copied(), w);
-            pc.add_all(term_buf.iter().copied(), w);
-        } else {
-            pc.add_all(term_buf.iter().copied(), w);
+/// One page's term counts as its located-text runs arrive from the
+/// parser: each run goes through the analyzer under what is left of the
+/// page's term budget, and its terms join the page's PC (and, for form
+/// locations, FC) occurrence runs at the location's weight. A spent budget
+/// stops analysis, not parsing: title presence and [`ParseStats`] need the
+/// whole page.
+pub(crate) struct PageTerms<'p> {
+    opts: &'p ModelOptions,
+    dict: &'p mut TermDict,
+    term_buf: &'p mut Vec<TermId>,
+    obs: &'p Obs,
+    /// Terms the page may still add.
+    budget: usize,
+    budget_hit: bool,
+    /// Nanoseconds spent in the analyzer; the clock is read only when
+    /// `obs` is enabled.
+    analyze_ns: u64,
+    pc: CountsBuilder,
+    fc: CountsBuilder,
+}
+
+/// What one pass over a page found.
+pub(crate) struct PageCounts {
+    pc: CountsBuilder,
+    fc: CountsBuilder,
+    has_title: bool,
+    stats: ParseStats,
+    budget_hit: bool,
+    analyze_ns: u64,
+}
+
+impl<'p> PageTerms<'p> {
+    pub(crate) fn new(
+        opts: &'p ModelOptions,
+        max_terms: usize,
+        dict: &'p mut TermDict,
+        term_buf: &'p mut Vec<TermId>,
+        obs: &'p Obs,
+    ) -> PageTerms<'p> {
+        PageTerms {
+            opts,
+            dict,
+            term_buf,
+            obs,
+            budget: max_terms,
+            budget_hit: false,
+            analyze_ns: 0,
+            pc: CountsBuilder::new(),
+            fc: CountsBuilder::new(),
         }
     }
-    (pc, fc)
+
+    /// Analyze one located text run.
+    pub(crate) fn run(&mut self, text: &str, location: TextLocation) {
+        if self.budget_hit {
+            return;
+        }
+        let t0 = self.obs.start_timer();
+        self.term_buf.clear();
+        self.budget_hit =
+            self.opts
+                .analyzer
+                .analyze_into_budget(text, self.dict, self.term_buf, self.budget);
+        if let (Some(t0), Some(t1)) = (t0, self.obs.start_timer()) {
+            self.analyze_ns += t1.saturating_sub(t0);
+        }
+        self.budget -= self.term_buf.len();
+        let w = self.opts.weights.weight(location);
+        if location.is_form() {
+            // Form text belongs to both spaces: FC by definition, and PC
+            // covers "all words within the HTML tags".
+            self.fc.add_all(self.term_buf.iter().copied(), w);
+        }
+        self.pc.add_all(self.term_buf.iter().copied(), w);
+    }
+
+    /// Fold the page's runs into per-term sums.
+    pub(crate) fn finish(mut self, has_title: bool, stats: ParseStats) -> PageCounts {
+        self.pc.fold();
+        self.fc.fold();
+        PageCounts {
+            pc: self.pc,
+            fc: self.fc,
+            has_title,
+            stats,
+            budget_hit: self.budget_hit,
+            analyze_ns: self.analyze_ns,
+        }
+    }
+}
+
+/// Parse `html` straight into analysis in one pass, with no tree: the
+/// located-text sink hands each run to [`PageTerms::run`].
+fn count_page(
+    html: &str,
+    opts: &ModelOptions,
+    max_terms: usize,
+    dict: &mut TermDict,
+    term_buf: &mut Vec<TermId>,
+    obs: &Obs,
+) -> PageCounts {
+    let mut terms = PageTerms::new(opts, max_terms, dict, term_buf, obs);
+    let (sink, stats) = parse_into(html, LocatedSink::new(|text, loc| terms.run(text, loc)));
+    let has_title = sink.has_title();
+    terms.finish(has_title, stats)
 }
 
 /// Run one page through the hardened ingestion checks; `Some` counts mean
 /// the page is kept.
 ///
-/// Phase timings (`ingest.sanitize_us` / `ingest.parse_us` /
-/// `ingest.analyze_us`) are recorded per page into `obs` histograms —
+/// Phase timings are recorded per page into `obs` histograms:
+/// `ingest.sanitize_us`, `ingest.analyze_us` (the time inside the analyzer)
+/// and `ingest.parse_us` (the rest of the parse-and-count pass). They are
 /// order-independent aggregates, so recording from parallel ingestion
 /// workers preserves snapshot determinism (under a logical clock every
 /// duration is 0).
@@ -847,76 +939,47 @@ pub(crate) fn ingest_page(
     }
     obs.observe_since("ingest.sanitize_us", sanitize_t0);
 
-    let parse_t0 = obs.start_timer();
-    let (doc, stats) = Document::parse_with_stats(&html);
-    obs.observe_since("ingest.parse_us", parse_t0);
-
-    ingest_document(&doc, stats, reasons, opts, limits, dict, term_buf, obs)
+    let pass_t0 = obs.start_timer();
+    let page = count_page(&html, opts, limits.max_terms, dict, term_buf, obs);
+    if let (Some(t0), Some(t1)) = (pass_t0, obs.start_timer()) {
+        let pass_ns = t1.saturating_sub(t0).saturating_sub(page.analyze_ns);
+        obs.observe("ingest.parse_us", pass_ns as f64 / 1_000.0);
+    }
+    page_outcome(page, reasons, obs)
 }
 
-/// The post-parse half of [`ingest_page`]: budgeted analysis plus the
-/// outcome taxonomy, over a document however it was parsed. The streaming
-/// layer enters here with a [`StreamingParser`](cafc_html::StreamingParser)
-/// output; `ingest_page` enters with a whole-input parse. `reasons` carries
-/// whatever degradations the caller's sanitize/parse phases already found.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ingest_document(
-    doc: &Document,
-    stats: ParseStats,
+/// The outcome taxonomy over one page's pass, however it was parsed: the
+/// batch path enters from [`ingest_page`], the streaming layer from a
+/// [`StreamingParser`](cafc_html::StreamingParser) over the same sink.
+/// `reasons` carries whatever degradations the caller's sanitize phase
+/// already found. Records `ingest.analyze_us`.
+pub(crate) fn page_outcome(
+    page: PageCounts,
     mut reasons: Vec<DegradedReason>,
-    opts: &ModelOptions,
-    limits: &IngestLimits,
-    dict: &mut TermDict,
-    term_buf: &mut Vec<TermId>,
     obs: &Obs,
 ) -> (PageOutcome, Option<(CountsBuilder, CountsBuilder)>) {
-    if stats.depth_capped {
+    if obs.is_enabled() {
+        obs.observe("ingest.analyze_us", page.analyze_ns as f64 / 1_000.0);
+    }
+    if page.stats.depth_capped {
         reasons.push(DegradedReason::DepthCapped);
     }
-    if stats.nodes_capped {
+    if page.stats.nodes_capped {
         reasons.push(DegradedReason::InputTruncated);
     }
-
-    let analyze_t0 = obs.start_timer();
-    let mut pc = CountsBuilder::new();
-    let mut fc = CountsBuilder::new();
-    let mut terms_used = 0usize;
-    let mut budget_hit = false;
-    for lt in located_text(doc) {
-        // A spent budget trips only on a further term, not on text that
-        // analyses to nothing (stopwords, numbers).
-        let budget = limits.max_terms.saturating_sub(terms_used);
-        term_buf.clear();
-        budget_hit = opts
-            .analyzer
-            .analyze_into_budget(&lt.text, dict, term_buf, budget);
-        terms_used += term_buf.len();
-        let w = opts.weights.weight(lt.location);
-        if lt.location.is_form() {
-            fc.add_all(term_buf.iter().copied(), w);
-            pc.add_all(term_buf.iter().copied(), w);
-        } else {
-            pc.add_all(term_buf.iter().copied(), w);
-        }
-        if budget_hit {
-            break;
-        }
-    }
-    if budget_hit {
+    if page.budget_hit {
         reasons.push(DegradedReason::TermBudgetExceeded);
     }
-    obs.observe_since("ingest.analyze_us", analyze_t0);
-
-    if pc.is_empty() {
+    if page.pc.is_empty() {
         let outcome = PageOutcome::Quarantined {
             error: IngestError::EmptyDocument,
         };
         return (outcome, None);
     }
-    if doc.title().is_none() {
+    if !page.has_title {
         reasons.push(DegradedReason::MissingTitle);
     }
-    if fc.is_empty() {
+    if page.fc.is_empty() {
         reasons.push(DegradedReason::NoFormContent);
     }
 
@@ -927,7 +990,7 @@ pub(crate) fn ingest_document(
         reasons.dedup();
         PageOutcome::Degraded { reasons }
     };
-    (outcome, Some((pc, fc)))
+    (outcome, Some((page.pc, page.fc)))
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! [`FormPageCorpus::from_html_ingest_resumable`] processes pages in
 //! batches — the store's `checkpoint_every`, rounded up to a multiple of
-//! the chunk size so a resumed run reproduces the exact chunk boundaries
-//! (and therefore term-id assignment order) of an uninterrupted one —
+//! [`IngestLimits::shard_pages`] so a resumed run reproduces the exact
+//! chunk boundaries of an uninterrupted one —
 //! and snapshots the complete accumulated state after each batch: the
 //! shared term dictionary in id order, every kept page's lossless PC/FC
 //! count entries (zero-weight entries included, so document frequencies
@@ -16,10 +16,8 @@
 //! [`StoreError::FingerprintMismatch`], never a silently wrong corpus.
 
 use crate::ingest::{DegradedReason, IngestError, IngestLimits, IngestReport, PageOutcome};
-use crate::model::{
-    emit_ingest_metrics, ingest_page, FormPageCorpus, IngestMerge, ModelOptions, PAGE_CHUNK,
-};
-use cafc_exec::{par_chunks_obs, ExecPolicy};
+use crate::model::{emit_ingest_metrics, ingest_shard, FormPageCorpus, IngestMerge, ModelOptions};
+use cafc_exec::ExecPolicy;
 use cafc_obs::Obs;
 use cafc_store::{fnv1a64, ByteReader, ByteWriter, Store, StoreError};
 use cafc_text::{TermDict, TermId};
@@ -269,8 +267,10 @@ impl FormPageCorpus {
             .unwrap_or(usize::MAX)
             .max(1);
         // Round up to whole chunks so batch boundaries never split a chunk:
-        // identical chunking -> identical term-id assignment order.
-        let batch = every.div_ceil(PAGE_CHUNK).max(1).saturating_mul(PAGE_CHUNK);
+        // the same chunks as an uninterrupted run, so the same per-chunk
+        // metrics (the corpus would match under any split).
+        let chunk = limits.shard_pages.max(1);
+        let batch = every.div_ceil(chunk).max(1).saturating_mul(chunk);
 
         let state = if resume {
             match store.load_snapshot(STAGE)? {
@@ -319,19 +319,14 @@ impl FormPageCorpus {
         );
         while pages_done < pages.len() {
             let end = (pages_done + batch).min(pages.len());
-            let offset = pages_done;
-            let chunks = par_chunks_obs(policy, end - offset, PAGE_CHUNK, obs, "ingest", |range| {
-                let mut dict = TermDict::new();
-                let mut term_buf: Vec<TermId> = Vec::new();
-                let outcomes: Vec<_> = pages[offset + range.start..offset + range.end]
-                    .iter()
-                    .map(|&html| ingest_page(html, opts, limits, &mut dict, &mut term_buf, obs))
-                    .collect();
-                (dict, outcomes)
-            });
-            for (local_dict, outcomes) in chunks {
-                merge.absorb(local_dict, outcomes);
-            }
+            ingest_shard(
+                &pages[pages_done..end],
+                opts,
+                limits,
+                policy,
+                obs,
+                &mut merge,
+            );
             pages_done = end;
             store.snapshot(
                 STAGE,

@@ -31,11 +31,11 @@
 
 use crate::incremental::IncrementalClusters;
 use crate::ingest::{IngestLimits, PageOutcome};
-use crate::model::{ingest_document, FormPageCorpus, ModelOptions};
+use crate::model::{page_outcome, FormPageCorpus, ModelOptions, PageTerms};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{kmeans_obs, KMeansOptions, Partition};
 use cafc_exec::{par_map_slice, ExecPolicy};
-use cafc_html::{strip_control_chars, StreamingParser};
+use cafc_html::{strip_control_chars, LocatedSink, StreamingParser};
 use cafc_obs::Obs;
 use cafc_text::TermId;
 use cafc_vsm::{weigh, SparseVector};
@@ -207,23 +207,33 @@ impl StreamCorpus {
     /// Stream one page in as HTML chunks: incremental parse, hardened
     /// ingestion, vectorize against the live dictionary, append, assign.
     ///
-    /// Chunks are pushed through a [`StreamingParser`] as they come —
-    /// sanitized per chunk (control-char stripping is per-character, so
-    /// chunking cannot change it) and truncated at the soft byte limit —
-    /// then the document enters the same budgeted-analysis and outcome
-    /// taxonomy as the batch pipeline.
+    /// Chunks are pushed through a [`StreamingParser`] over the same
+    /// located-text sink as the batch pipeline, as they come — sanitized
+    /// per chunk (control-char stripping is per-character, so chunking
+    /// cannot change it) and truncated at the soft byte limit — so each
+    /// text run is analysed as it is parsed, under the same budget and
+    /// outcome taxonomy as the batch pipeline.
     pub fn ingest_chunks<'a, I>(&mut self, chunks: I) -> Arrival
     where
         I: IntoIterator<Item = &'a str>,
     {
         self.streamed += 1;
-        let mut reasons = Vec::new();
-        let mut parser = StreamingParser::new();
+        let limits = self.config.limits;
+        let terms_before = self.corpus.dict.len();
+        let mut terms = PageTerms::new(
+            &self.config.opts,
+            limits.max_terms,
+            &mut self.corpus.dict,
+            &mut self.term_buf,
+            &self.obs,
+        );
+        let mut parser =
+            StreamingParser::with_sink(LocatedSink::new(|text, loc| terms.run(text, loc)));
         let mut bytes_seen = 0usize;
         let mut stripped_any = false;
         let mut truncated = false;
         for chunk in chunks {
-            if bytes_seen >= self.config.limits.hard_max_bytes {
+            if bytes_seen >= limits.hard_max_bytes {
                 // Past the hard limit the page is quarantined whatever its
                 // content; stop paying for parsing it.
                 bytes_seen += chunk.len();
@@ -231,7 +241,7 @@ impl StreamCorpus {
             }
             // Soft limit: feed only the prefix that fits, on a char
             // boundary — mid-tag cuts are what the streaming parser absorbs.
-            let budget = self.config.limits.soft_max_bytes.saturating_sub(bytes_seen);
+            let budget = limits.soft_max_bytes.saturating_sub(bytes_seen);
             bytes_seen += chunk.len();
             let fed = if chunk.len() > budget {
                 truncated = true;
@@ -247,7 +257,13 @@ impl StreamCorpus {
             stripped_any |= stripped;
             parser.push_chunk(&clean);
         }
-        if bytes_seen > self.config.limits.hard_max_bytes {
+        let (sink, stats) = parser.finish_sink();
+        let has_title = sink.has_title();
+        let page = terms.finish(has_title, stats);
+        if bytes_seen > limits.hard_max_bytes {
+            // The text fed before the limit was known is forgotten, so the
+            // page leaves no terms behind.
+            self.corpus.dict.truncate(terms_before);
             self.obs.incr("stream.pages_quarantined");
             return Arrival {
                 page: None,
@@ -255,7 +271,7 @@ impl StreamCorpus {
                 outcome: PageOutcome::Quarantined {
                     error: crate::ingest::IngestError::TooLarge {
                         bytes: bytes_seen,
-                        limit: self.config.limits.hard_max_bytes,
+                        limit: limits.hard_max_bytes,
                     },
                 },
                 drift: None,
@@ -263,23 +279,14 @@ impl StreamCorpus {
                 reclustered: false,
             };
         }
+        let mut reasons = Vec::new();
         if truncated {
             reasons.push(crate::ingest::DegradedReason::InputTruncated);
         }
         if stripped_any {
             reasons.push(crate::ingest::DegradedReason::ControlCharsStripped);
         }
-        let (doc, stats) = parser.finish_with_stats();
-        let (outcome, counts) = ingest_document(
-            &doc,
-            stats,
-            reasons,
-            &self.config.opts,
-            &self.config.limits,
-            &mut self.corpus.dict,
-            &mut self.term_buf,
-            &self.obs,
-        );
+        let (outcome, counts) = page_outcome(page, reasons, &self.obs);
         let Some((pc_counts, fc_counts)) = counts else {
             self.obs.incr("stream.pages_quarantined");
             return Arrival {
@@ -295,8 +302,8 @@ impl StreamCorpus {
         // Fold the arrival into the collection statistics first, then weigh
         // it — mirroring the batch build, where every page contributes to
         // the DF its own weights are computed from.
-        self.corpus.pc_df.add_document(pc_counts.term_ids());
-        self.corpus.fc_df.add_document(fc_counts.term_ids());
+        self.corpus.pc_df.add_counts(&pc_counts);
+        self.corpus.fc_df.add_counts(&fc_counts);
         let opts = &self.config.opts;
         let pc = weigh(&pc_counts, &self.corpus.pc_df, opts.tf, opts.idf);
         let fc = weigh(&fc_counts, &self.corpus.fc_df, opts.tf, opts.idf);
@@ -484,7 +491,8 @@ mod tests {
     fn oversized_arrival_is_quarantined() {
         let config = StreamConfig::new().with_limits(IngestLimits::new().with_hard_max_bytes(64));
         let mut sc = seeded(config, Obs::disabled());
-        let big = format!("<p>{}</p>", "airfare ".repeat(32));
+        let terms = sc.corpus().dict.len();
+        let big = format!("<p>{}</p>", "zygote airfare ".repeat(16));
         let arrival = sc.ingest_html(&big);
         assert_eq!(arrival.page, None);
         assert_eq!(arrival.cluster, None);
@@ -500,6 +508,10 @@ mod tests {
         );
         assert_eq!(sc.corpus().len(), 4, "quarantined page must not be kept");
         assert_eq!(sc.streamed(), 1);
+        // Its text was analysed as it was parsed, before the size was
+        // known; none of its terms may stay behind.
+        assert_eq!(sc.corpus().dict.len(), terms);
+        assert_eq!(sc.corpus().dict.get("zygot"), None);
     }
 
     #[test]

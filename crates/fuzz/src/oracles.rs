@@ -13,7 +13,10 @@ use std::sync::Once;
 use cafc::{FormPageCorpus, IngestLimits, ModelOptions};
 use cafc_check::Seed;
 use cafc_html::coverage::{Coverage, CoverageMap};
-use cafc_html::{parse, parse_chunked, strip_control_chars, Document, Tokenizer};
+use cafc_html::{
+    located_text, parse, parse_chunked, parse_into, strip_control_chars, Document, LocatedSink,
+    LocatedText, Node, NodeId, StreamingParser, TextLocation, Tokenizer,
+};
 
 /// Which oracle rejected the input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +34,9 @@ pub enum OracleKind {
     ChunkEquivalence,
     /// The ingestion report failed its accounting identity.
     IngestAccounting,
+    /// The located-text sink (whole, chunked, or replayed over the tree)
+    /// disagreed with the reference DOM walk on the runs or the title.
+    LocatedText,
 }
 
 impl OracleKind {
@@ -43,6 +49,7 @@ impl OracleKind {
             OracleKind::TokenSpans => "token-spans",
             OracleKind::ChunkEquivalence => "chunk-equivalence",
             OracleKind::IngestAccounting => "ingest-accounting",
+            OracleKind::LocatedText => "located-text",
         }
     }
 }
@@ -153,6 +160,114 @@ fn chunks_at<'a>(input: &'a str, points: &[usize]) -> Vec<&'a str> {
     }
     chunks.push(&input[start..]);
     chunks
+}
+
+/// The reference located-text walk: a pre-order walk of the parsed tree
+/// carrying each element's context down to its children. It is the
+/// definition `cafc_html::located_text` had before the rules moved into
+/// `LocatedSink`, kept here so the sink is checked against an independent
+/// statement of the same rules.
+fn reference_located_text(doc: &Document) -> Vec<LocatedText> {
+    #[derive(Clone, Copy, Default)]
+    struct Ctx {
+        in_title: bool,
+        in_heading: bool,
+        in_anchor: bool,
+        in_form: bool,
+        in_option: bool,
+    }
+    fn location(ctx: Ctx) -> TextLocation {
+        if ctx.in_form {
+            if ctx.in_option {
+                TextLocation::FormOption
+            } else {
+                TextLocation::FormText
+            }
+        } else if ctx.in_title {
+            TextLocation::Title
+        } else if ctx.in_heading {
+            TextLocation::Heading
+        } else if ctx.in_anchor {
+            TextLocation::Anchor
+        } else {
+            TextLocation::Body
+        }
+    }
+    fn push(out: &mut Vec<LocatedText>, text: &str, location: TextLocation) {
+        let text = text.trim();
+        if !text.is_empty() {
+            out.push(LocatedText {
+                text: normalize_ws(text),
+                location,
+            });
+        }
+    }
+    let mut out = Vec::new();
+    let mut pending: Vec<(NodeId, Ctx)> = doc
+        .roots()
+        .iter()
+        .rev()
+        .map(|&r| (r, Ctx::default()))
+        .collect();
+    while let Some((id, ctx)) = pending.pop() {
+        match doc.node(id) {
+            Node::Text(t) => push(&mut out, t, location(ctx)),
+            Node::Comment(_) => {}
+            Node::Element { name, .. } => {
+                let mut ctx = ctx;
+                match name.as_str() {
+                    "script" | "style" | "noscript" => continue,
+                    "title" => ctx.in_title = true,
+                    "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => ctx.in_heading = true,
+                    "a" => ctx.in_anchor = true,
+                    "form" => ctx.in_form = true,
+                    "option" => ctx.in_option = true,
+                    "input" if ctx.in_form => {
+                        let ty = doc.attr(id, "type").map(str::to_ascii_lowercase);
+                        let visible = !matches!(ty.as_deref(), Some("hidden") | Some("password"));
+                        if let (true, Some(v)) = (visible, doc.attr(id, "value")) {
+                            push(&mut out, v, TextLocation::FormValue);
+                        }
+                    }
+                    "img" => {
+                        if let Some(alt) = doc.attr(id, "alt") {
+                            push(&mut out, alt, location(ctx));
+                        }
+                    }
+                    _ => {}
+                }
+                pending.extend(doc.children(id).iter().rev().map(|&c| (c, ctx)));
+            }
+        }
+    }
+    out
+}
+
+/// Collapse whitespace runs to one space and trim.
+fn normalize_ws(s: &str) -> String {
+    s.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// Runs and title presence as a [`LocatedSink`] sees them, parsing
+/// `chunks` whole (one chunk) or through a [`StreamingParser`].
+fn sink_located_text(chunks: &[&str]) -> (Vec<LocatedText>, bool) {
+    let mut runs = Vec::new();
+    let emit = |text: &str, location| {
+        runs.push(LocatedText {
+            text: normalize_ws(text),
+            location,
+        })
+    };
+    let has_title = if let [whole] = chunks {
+        parse_into(whole, LocatedSink::new(emit)).0.has_title()
+    } else {
+        let mut parser = StreamingParser::with_sink(LocatedSink::new(emit));
+        for chunk in chunks {
+            parser.push_chunk(chunk);
+        }
+        parser.finish_sink().0.has_title()
+    };
+    (runs, has_title)
 }
 
 /// Execute `input` through the instrumented parse and every oracle.
@@ -302,6 +417,36 @@ pub fn execute(input: &str, split_seed: u64) -> Execution {
         }),
     }
 
+    // Oracle 7: the located-text sink agrees with the reference DOM walk
+    // over `parse(x)` — its runs and its title rule — parsing the whole
+    // input, replaying the tree (`located_text`), and streaming the
+    // input split at the chunk oracle's points.
+    match guarded(|| {
+        let doc = parse(input);
+        let expected = (reference_located_text(&doc), doc.title().is_some());
+        if located_text(&doc) != expected.0 {
+            return Some("located_text(&parse(x))".to_owned());
+        }
+        if sink_located_text(&[input]) != expected {
+            return Some("the sink over the whole input".to_owned());
+        }
+        let points = split_points(input, split_seed);
+        if !points.is_empty() && sink_located_text(&chunks_at(input, &points)) != expected {
+            return Some(format!("the sink over chunks at {points:?}"));
+        }
+        None
+    }) {
+        Ok(Some(path)) => failures.push(OracleFailure {
+            oracle: OracleKind::LocatedText,
+            detail: format!("{path} differs from the reference walk over parse(x)"),
+        }),
+        Ok(None) => {}
+        Err(msg) => failures.push(OracleFailure {
+            oracle: OracleKind::PanicFreedom,
+            detail: format!("located-text sink panicked: {msg}"),
+        }),
+    }
+
     Execution { coverage, failures }
 }
 
@@ -346,6 +491,23 @@ mod tests {
             let chunks = chunks_at(input, &points);
             assert_eq!(chunks.concat(), input);
         }
+    }
+
+    #[test]
+    fn located_text_oracle_checks_title_and_runs() {
+        let input = "<noscript><title> </title><b>no</b></noscript><title>Late</title>\
+                     <form>Find <input type=Hidden value=x><input value=\"Go  now\">\
+                     <option>Ohio</option><script>var s;</script></form><p><img alt=pic>";
+        let doc = parse(input);
+        let (runs, has_title) = sink_located_text(&[input]);
+        assert!(!has_title, "the first <title> decides, and it is blank");
+        assert_eq!(has_title, doc.title().is_some());
+        assert_eq!(runs, reference_located_text(&doc));
+        let split = input.len() / 2;
+        assert_eq!(
+            sink_located_text(&[&input[..split], &input[split..]]),
+            (runs, has_title)
+        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The builder is a pragmatic approximation of the HTML tree-construction
 //! algorithm: it handles void elements, self-closing syntax, the common
 //! implicit-close pairs (`<li>`, `<option>`, `<p>`, table rows/cells) and
-//! silently drops stray end tags. The output is an arena of [`Node`]s
-//! addressed by [`NodeId`], which keeps the tree `Copy`-indexable and cheap
-//! to traverse — important because the corpus pipeline parses hundreds of
-//! pages per experiment run.
+//! silently drops stray end tags. It keeps only the names of the open
+//! elements and reports what it builds to a [`TreeSink`]. [`DocSink`]
+//! turns those events into a [`Document`]: an arena of [`Node`]s addressed
+//! by [`NodeId`], which keeps the tree `Copy`-indexable and cheap to
+//! traverse. Other sinks consume the events without building a tree.
 
 use crate::coverage::{Coverage, CoveragePoint};
 use crate::tokenizer::{Attribute, Token, Tokenizer};
@@ -30,7 +31,7 @@ pub enum Node {
         /// Lowercased tag name.
         name: String,
         /// Attributes in source order.
-        attrs: Vec<Attribute>,
+        attrs: Vec<Attribute<'static>>,
         /// Children in document order.
         children: Vec<NodeId>,
     },
@@ -118,7 +119,7 @@ pub struct ParseStats {
 /// Equality is structural (same arena contents and roots) — the fuzz
 /// oracles use it to compare parses of the same input along different
 /// paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Node>,
     roots: Vec<NodeId>,
@@ -141,33 +142,8 @@ impl Document {
     /// [`Document::parse_with_stats`]; coverage recording never changes the
     /// parse result.
     pub fn parse_with_coverage(html: &str, cov: &Coverage) -> (Document, ParseStats) {
-        let mut builder = TreeBuilder::new(cov.clone());
-        for token in Tokenizer::with_coverage(html, cov.clone()) {
-            builder.feed(token);
-            if builder.nodes_capped() {
-                break;
-            }
-        }
-        builder.finish()
-    }
-
-    fn push(&mut self, node: Node) -> NodeId {
-        // parse_with_stats stops before the arena can outgrow u32.
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
-    }
-
-    fn append(&mut self, stack: &[NodeId], id: NodeId) {
-        match stack.last() {
-            // The stack holds element ids only; anything else would mean
-            // arena corruption, which parenting to the root survives.
-            Some(&parent) => match &mut self.nodes[parent.index()] {
-                Node::Element { children, .. } => children.push(id),
-                _ => self.roots.push(id),
-            },
-            None => self.roots.push(id),
-        }
+        let (sink, stats) = build(html, DocSink::default(), cov);
+        (sink.doc, stats)
     }
 
     /// All nodes, by arena index.
@@ -220,7 +196,7 @@ impl Document {
             Node::Element { attrs, .. } => attrs
                 .iter()
                 .find(|a| a.name == attr_name)
-                .map(|a| a.value.as_str()),
+                .map(|a| a.value.as_ref()),
             _ => None,
         }
     }
@@ -246,44 +222,131 @@ impl Document {
     }
 }
 
-/// Incremental tree construction: the body of the old `parse_with_coverage`
-/// loop, factored so tokens can be fed one at a time by the streaming
-/// parser. Whole-document parsing and `StreamingParser` share this exact
-/// code path, which is what makes `parse_chunked(chunks) ==
-/// parse(chunks.concat())` a structural property instead of a test hope.
-pub(crate) struct TreeBuilder {
+/// Parse `html` into `sink` in one pass, with no tree in between;
+/// [`Document::parse_with_stats`] is this with a [`DocSink`].
+pub fn parse_into<S: TreeSink>(html: &str, sink: S) -> (S, ParseStats) {
+    build(html, sink, &Coverage::disabled())
+}
+
+/// [`parse_into`], reporting tokenizer and tree-builder transitions to
+/// `cov`.
+fn build<S: TreeSink>(html: &str, sink: S, cov: &Coverage) -> (S, ParseStats) {
+    let mut builder = TreeBuilder::new(sink, cov.clone());
+    for token in Tokenizer::with_coverage(html, cov.clone()) {
+        builder.feed(token);
+        if builder.stats.nodes_capped {
+            break;
+        }
+    }
+    builder.finish()
+}
+
+/// What the tree builder reports, in document order. Every node the
+/// builder creates becomes the last child of the innermost open element,
+/// or a new root when none is open.
+pub trait TreeSink {
+    /// An element was created; `open` when it became the innermost open
+    /// element (false for void, self-closing and depth-capped elements,
+    /// which never get children).
+    fn element(&mut self, name: &str, attrs: &[Attribute<'_>], open: bool);
+    /// The `n` innermost open elements were closed.
+    fn close(&mut self, n: usize);
+    /// A text run (entity-decoded, never empty) was appended.
+    fn text(&mut self, text: &str);
+    /// A comment was appended.
+    fn comment(&mut self, text: &str);
+}
+
+/// The [`TreeSink`] that builds a [`Document`].
+#[derive(Debug, Default)]
+pub struct DocSink {
     doc: Document,
-    stats: ParseStats,
-    /// Stack of open element node ids.
+    /// Open element ids, innermost last.
     stack: Vec<NodeId>,
+}
+
+impl DocSink {
+    /// The document built so far.
+    pub(crate) fn into_document(self) -> Document {
+        self.doc
+    }
+
+    fn append(&mut self, node: Node) -> NodeId {
+        // The tree builder stops before the arena can outgrow u32.
+        let id = NodeId(self.doc.nodes.len() as u32);
+        self.doc.nodes.push(node);
+        match self.stack.last() {
+            // The stack holds element ids only; anything else would mean
+            // arena corruption, which parenting to the root survives.
+            Some(&parent) => match &mut self.doc.nodes[parent.index()] {
+                Node::Element { children, .. } => children.push(id),
+                _ => self.doc.roots.push(id),
+            },
+            None => self.doc.roots.push(id),
+        }
+        id
+    }
+}
+
+impl TreeSink for DocSink {
+    fn element(&mut self, name: &str, attrs: &[Attribute<'_>], open: bool) {
+        let id = self.append(Node::Element {
+            name: name.to_owned(),
+            attrs: attrs.iter().map(|a| a.clone().into_owned()).collect(),
+            children: Vec::new(),
+        });
+        if open {
+            self.stack.push(id);
+        }
+    }
+
+    fn close(&mut self, n: usize) {
+        self.stack.truncate(self.stack.len().saturating_sub(n));
+    }
+
+    fn text(&mut self, text: &str) {
+        self.append(Node::Text(text.to_owned()));
+    }
+
+    fn comment(&mut self, text: &str) {
+        self.append(Node::Comment(text.to_owned()));
+    }
+}
+
+/// Incremental tree construction: one token at a time, so whole-document
+/// parsing and `StreamingParser` share this exact code path, which is what
+/// makes `parse_chunked(chunks) == parse(chunks.concat())` a structural
+/// property instead of a test hope. The rules (implicit closes, void
+/// elements, [`MAX_DEPTH`], the node cap, stray end tags) run over the
+/// open element names alone; the sink sees only their outcome.
+pub(crate) struct TreeBuilder<S> {
+    sink: S,
+    stats: ParseStats,
+    /// Names of the open elements, innermost last.
+    open: Vec<String>,
+    /// Nodes created so far, against the node cap.
+    nodes: usize,
     cov: Coverage,
 }
 
-impl TreeBuilder {
-    /// An empty builder reporting tree transitions to `cov`.
-    pub(crate) fn new(cov: Coverage) -> TreeBuilder {
+impl<S: TreeSink> TreeBuilder<S> {
+    /// An empty builder reporting to `sink`, and tree transitions to `cov`.
+    pub(crate) fn new(sink: S, cov: Coverage) -> TreeBuilder<S> {
         TreeBuilder {
-            doc: Document {
-                nodes: Vec::new(),
-                roots: Vec::new(),
-            },
+            sink,
             stats: ParseStats::default(),
-            stack: Vec::new(),
+            open: Vec::new(),
+            nodes: 0,
             cov,
         }
     }
 
-    /// Whether the node arena hit its cap; further tokens are dropped.
-    pub(crate) fn nodes_capped(&self) -> bool {
-        self.stats.nodes_capped
-    }
-
     /// Apply one token to the tree under construction.
-    pub(crate) fn feed(&mut self, token: Token) {
+    pub(crate) fn feed(&mut self, token: Token<'_>) {
         if self.stats.nodes_capped {
             return;
         }
-        if self.doc.nodes.len() >= MAX_NODES {
+        if self.nodes >= MAX_NODES {
             self.cov.record(CoveragePoint::TreeNodesCapped);
             self.stats.nodes_capped = true;
             return;
@@ -294,13 +357,13 @@ impl TreeBuilder {
             }
             Token::Comment(c) => {
                 self.cov.record(CoveragePoint::TreeComment);
-                let id = self.doc.push(Node::Comment(c));
-                self.doc.append(&self.stack, id);
+                self.nodes += 1;
+                self.sink.comment(c);
             }
             Token::Text(t) => {
                 self.cov.record(CoveragePoint::TreeText);
-                let id = self.doc.push(Node::Text(t));
-                self.doc.append(&self.stack, id);
+                self.nodes += 1;
+                self.sink.text(&t);
             }
             Token::StartTag {
                 name,
@@ -308,33 +371,30 @@ impl TreeBuilder {
                 self_closing,
             } => {
                 // Implicit closes (e.g. <option> closes an open <option>).
-                while let Some(&top) = self.stack.last() {
-                    // The stack only ever holds element ids.
-                    let Some(top_name) = self.doc.nodes[top.index()].element_name() else {
-                        break;
-                    };
+                let depth = self.open.len();
+                while let Some(top) = self.open.last() {
                     if IMPLICIT_CLOSE
                         .iter()
-                        .any(|(inc, closes)| *inc == name && *closes == top_name)
+                        .any(|(inc, closes)| *inc == name && closes == top)
                     {
                         self.cov.record(CoveragePoint::TreeImplicitClose);
-                        self.stack.pop();
+                        self.open.pop();
                     } else {
                         break;
                     }
                 }
-                let id = self.doc.push(Node::Element {
-                    name: name.clone(),
-                    attrs,
-                    children: Vec::new(),
-                });
-                if self.stack.is_empty() {
+                if self.open.len() < depth {
+                    self.sink.close(depth - self.open.len());
+                }
+                if self.open.is_empty() {
                     self.cov.record(CoveragePoint::TreeRootAppend);
                 }
-                self.doc.append(&self.stack, id);
+                self.nodes += 1;
+                let mut open = false;
                 if !self_closing && !is_void(&name) {
-                    if self.stack.len() < MAX_DEPTH {
-                        self.stack.push(id);
+                    if self.open.len() < MAX_DEPTH {
+                        self.open.push(name.to_string());
+                        open = true;
                     } else {
                         self.cov.record(CoveragePoint::TreeDepthCapped);
                         self.stats.depth_capped = true;
@@ -342,14 +402,15 @@ impl TreeBuilder {
                 } else {
                     self.cov.record(CoveragePoint::TreeVoid);
                 }
+                self.sink.element(&name, &attrs, open);
             }
             Token::EndTag { name } => {
                 // Find the matching open element; ignore stray end tags.
-                if let Some(pos) = self.stack.iter().rposition(|&id| {
-                    self.doc.nodes[id.index()].element_name() == Some(name.as_str())
-                }) {
+                if let Some(pos) = self.open.iter().rposition(|open| *open == name) {
                     self.cov.record(CoveragePoint::TreeEndMatched);
-                    self.stack.truncate(pos);
+                    let closed = self.open.len() - pos;
+                    self.open.truncate(pos);
+                    self.sink.close(closed);
                 } else {
                     self.cov.record(CoveragePoint::TreeStrayEndDropped);
                 }
@@ -357,9 +418,9 @@ impl TreeBuilder {
         }
     }
 
-    /// The finished document and the caps hit while building it.
-    pub(crate) fn finish(self) -> (Document, ParseStats) {
-        (self.doc, self.stats)
+    /// The sink and the caps hit while building.
+    pub(crate) fn finish(self) -> (S, ParseStats) {
+        (self.sink, self.stats)
     }
 }
 

@@ -6,6 +6,8 @@
 //! strings like `&foo` and avoids destroying query-string text such as
 //! `?a=1&b=2` that frequently leaks into attribute values.
 
+use std::borrow::Cow;
+
 /// The named entities we decode. This is the set observed on real form
 /// pages; extending it is a one-line change per entity.
 pub(crate) const NAMED: &[(&str, &str)] = &[
@@ -72,11 +74,10 @@ fn numeric(body: &str) -> Option<char> {
 
 /// Decode all entity references in `input`.
 ///
-/// Returns the input unchanged (no allocation beyond the output string) when
-/// no `&` occurs.
-pub fn decode(input: &str) -> String {
+/// Borrows the input unchanged (no allocation) when no `&` occurs.
+pub fn decode(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_owned();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
     let mut rest = input;
@@ -116,7 +117,7 @@ pub fn decode(input: &str) -> String {
         rest = &rest[1..];
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

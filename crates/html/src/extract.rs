@@ -4,10 +4,13 @@
 //! `LOC_i` factor): option values inside forms are down-weighted because
 //! they reflect database *contents* rather than schema; title terms are
 //! up-weighted because, like search engines, the paper treats document
-//! titles as strong topic indicators. This module walks the DOM once and
-//! tags every text run with its [`TextLocation`].
+//! titles as strong topic indicators. [`LocatedSink`] tags every text run
+//! with its [`TextLocation`] as the tree builder reports it, so ingestion
+//! needs no tree; [`located_text`] replays a parsed [`Document`] through
+//! the same sink, so the location rules live in one place.
 
-use crate::dom::{Document, Node, NodeId};
+use crate::dom::{normalize_ws, Document, Node, NodeId, TreeSink};
+use crate::tokenizer::Attribute;
 
 /// Where a text run occurred in the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,9 +61,11 @@ pub struct LocatedText {
     pub location: TextLocation,
 }
 
-/// Traversal context carried down the DOM walk.
+/// The context an open element gives everything inside it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Ctx {
+    /// Inside `script`, `style` or `noscript`: nothing is emitted.
+    skip: bool,
     in_title: bool,
     in_heading: bool,
     in_anchor: bool,
@@ -88,78 +93,186 @@ impl Ctx {
     }
 }
 
-/// Extract every visible text run of the document with its location.
+/// The first `<title>` element's state, for [`LocatedSink::has_title`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TitleState {
+    /// No `<title>` element yet.
+    Unseen,
+    /// The first `<title>` is open at this depth of the open stack.
+    Open(usize),
+    /// The first `<title>` is closed (or never opened).
+    Done,
+}
+
+/// A [`TreeSink`] that hands each visible text run to `emit` with its
+/// [`TextLocation`], as the run is parsed.
 ///
-/// Script and style content is skipped entirely; comments never surface.
-/// Visible field values inside forms (submit-button labels, prefilled input
-/// text) are emitted as [`TextLocation::FormValue`].
+/// The rules, applied to the context of the open elements:
+/// * form beats title, heading, anchor and body; `<option>` inside a form
+///   is [`TextLocation::FormOption`];
+/// * `script`, `style` and `noscript` subtrees emit nothing;
+/// * inside a form, the `value` of an `input` whose `type` is not
+///   `hidden` or `password` (ASCII case-insensitive) is
+///   [`TextLocation::FormValue`];
+/// * an `img`'s `alt` text takes the location of its context.
 ///
-/// The walk carries an explicit stack — not the call stack — so document
-/// depth (already capped by the parser) can never overflow it.
-pub fn located_text(doc: &Document) -> Vec<LocatedText> {
-    let mut out = Vec::new();
-    let mut pending: Vec<(NodeId, Ctx)> = doc
-        .roots()
+/// Runs reach `emit` trimmed and non-empty, but with inner whitespace as
+/// parsed: [`located_text`] normalizes it, and text analysis splits on
+/// every non-alphanumeric character, where whitespace runs make no
+/// difference.
+pub struct LocatedSink<F> {
+    emit: F,
+    /// Context of each open element, innermost last.
+    stack: Vec<Ctx>,
+    title: TitleState,
+    title_text: bool,
+}
+
+impl<F: FnMut(&str, TextLocation)> LocatedSink<F> {
+    /// A sink handing runs to `emit`.
+    pub fn new(emit: F) -> LocatedSink<F> {
+        LocatedSink {
+            emit,
+            stack: Vec::new(),
+            title: TitleState::Unseen,
+            title_text: false,
+        }
+    }
+
+    /// Whether the page has a title, by [`Document::title`]'s rule: the
+    /// *first* `<title>` element decides, and it has a title when some text
+    /// appended while it was open has a non-whitespace character. A first
+    /// title that never opened (self-closing, or past the depth cap) leaves
+    /// the page without one, whatever later titles hold.
+    pub fn has_title(&self) -> bool {
+        self.title_text
+    }
+
+    fn ctx(&self) -> Ctx {
+        self.stack.last().copied().unwrap_or_default()
+    }
+
+    fn emit_run(&mut self, text: &str, location: TextLocation) {
+        let text = text.trim();
+        if !text.is_empty() {
+            (self.emit)(text, location);
+        }
+    }
+}
+
+/// The first attribute value named `name`.
+fn attr<'s>(attrs: &'s [Attribute<'_>], name: &str) -> Option<&'s str> {
+    attrs
         .iter()
-        .rev()
-        .map(|&r| (r, Ctx::default()))
-        .collect();
-    while let Some((id, ctx)) = pending.pop() {
-        match doc.node(id) {
-            Node::Text(t) => {
-                let t = t.trim();
-                if !t.is_empty() {
-                    out.push(LocatedText {
-                        text: crate::dom::normalize_ws(t),
-                        location: ctx.location(),
+        .find(|a| a.name == name)
+        .map(|a| a.value.as_ref())
+}
+
+impl<F: FnMut(&str, TextLocation)> TreeSink for LocatedSink<F> {
+    fn element(&mut self, name: &str, attrs: &[Attribute<'_>], open: bool) {
+        if name == "title" && self.title == TitleState::Unseen {
+            self.title = if open {
+                TitleState::Open(self.stack.len())
+            } else {
+                TitleState::Done
+            };
+        }
+        let mut ctx = self.ctx();
+        if !ctx.skip {
+            match name {
+                "script" | "style" | "noscript" => ctx.skip = true,
+                "title" => ctx.in_title = true,
+                "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => ctx.in_heading = true,
+                "a" => ctx.in_anchor = true,
+                "form" => ctx.in_form = true,
+                "option" => ctx.in_option = true,
+                "input" if ctx.in_form => {
+                    // Visible value text of buttons and prefilled inputs.
+                    let hidden = attr(attrs, "type").is_some_and(|ty| {
+                        ty.eq_ignore_ascii_case("hidden") || ty.eq_ignore_ascii_case("password")
                     });
+                    if let (false, Some(value)) = (hidden, attr(attrs, "value")) {
+                        self.emit_run(value, TextLocation::FormValue);
+                    }
                 }
+                "img" => {
+                    // alt text is visible text in every location class.
+                    if let Some(alt) = attr(attrs, "alt") {
+                        self.emit_run(alt, ctx.location());
+                    }
+                }
+                _ => {}
             }
-            Node::Comment(_) => {}
-            Node::Element { name, .. } => {
-                let mut ctx = ctx;
-                match name.as_str() {
-                    "script" | "style" | "noscript" => continue,
-                    "title" => ctx.in_title = true,
-                    "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => ctx.in_heading = true,
-                    "a" => ctx.in_anchor = true,
-                    "form" => ctx.in_form = true,
-                    "option" => ctx.in_option = true,
-                    "input" if ctx.in_form => {
-                        // Visible value text of buttons and prefilled inputs.
-                        let ty = doc.attr(id, "type").map(str::to_ascii_lowercase);
-                        let visible = !matches!(ty.as_deref(), Some("hidden") | Some("password"));
-                        if visible {
-                            if let Some(v) = doc.attr(id, "value") {
-                                let v = v.trim();
-                                if !v.is_empty() {
-                                    out.push(LocatedText {
-                                        text: crate::dom::normalize_ws(v),
-                                        location: TextLocation::FormValue,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    "img" => {
-                        // alt text is visible text in every location class.
-                        if let Some(alt) = doc.attr(id, "alt") {
-                            let alt = alt.trim();
-                            if !alt.is_empty() {
-                                out.push(LocatedText {
-                                    text: crate::dom::normalize_ws(alt),
-                                    location: ctx.location(),
-                                });
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                pending.extend(doc.children(id).iter().rev().map(|&c| (c, ctx)));
+        }
+        if open {
+            self.stack.push(ctx);
+        }
+    }
+
+    fn close(&mut self, n: usize) {
+        let depth = self.stack.len().saturating_sub(n);
+        self.stack.truncate(depth);
+        if let TitleState::Open(at) = self.title {
+            if depth <= at {
+                self.title = TitleState::Done;
             }
         }
     }
+
+    fn text(&mut self, text: &str) {
+        if matches!(self.title, TitleState::Open(_)) && !self.title_text {
+            self.title_text = text.chars().any(|c| !c.is_whitespace());
+        }
+        let ctx = self.ctx();
+        if !ctx.skip {
+            self.emit_run(text, ctx.location());
+        }
+    }
+
+    fn comment(&mut self, _: &str) {}
+}
+
+/// Extract every visible text run of the document with its location,
+/// whitespace-normalized, by the rules of [`LocatedSink`].
+///
+/// The replay carries an explicit stack — not the call stack — so document
+/// depth (already capped by the parser) can never overflow it.
+pub fn located_text(doc: &Document) -> Vec<LocatedText> {
+    let mut out = Vec::new();
+    let mut sink = LocatedSink::new(|text: &str, location| {
+        out.push(LocatedText {
+            text: normalize_ws(text),
+            location,
+        })
+    });
+    replay(doc, &mut sink);
     out
+}
+
+/// Feed `doc` to `sink` as the tree builder would have: every element
+/// opens, and closes after its children.
+fn replay<S: TreeSink>(doc: &Document, sink: &mut S) {
+    // `None` closes the innermost open element.
+    let mut pending: Vec<Option<NodeId>> = doc.roots().iter().rev().map(|&r| Some(r)).collect();
+    while let Some(item) = pending.pop() {
+        let Some(id) = item else {
+            sink.close(1);
+            continue;
+        };
+        match doc.node(id) {
+            Node::Text(t) => sink.text(t),
+            Node::Comment(c) => sink.comment(c),
+            Node::Element {
+                name,
+                attrs,
+                children,
+            } => {
+                sink.element(name, attrs, true);
+                pending.push(None);
+                pending.extend(children.iter().rev().map(|&c| Some(c)));
+            }
+        }
+    }
 }
 
 /// Convenience: all text of the given location classes joined with spaces.

@@ -8,13 +8,15 @@
 //!   stream (start/end tags, attributes, text, comments, doctypes), with
 //!   entity decoding and raw-text handling for `<script>`/`<style>`;
 //! * a [`dom`] tree builder that recovers from unbalanced markup the way
-//!   browsers roughly do (void elements, implicit closes, stray end tags);
+//!   browsers roughly do (void elements, implicit closes, stray end tags)
+//!   and reports to a [`TreeSink`]: a [`Document`], or a sink that never
+//!   builds a tree;
 //! * a [`form`] extractor that pulls `<form>` elements with their fields,
 //!   option values and submission metadata — the *FC* feature space;
-//! * a located-text [`extract`] walker that emits every text run together
+//! * a located-text [`extract`] sink that emits every text run together
 //!   with *where* it occurred (title, body, inside a form, inside an
-//!   `<option>`, anchor text) — the raw material for the location-aware
-//!   TF-IDF weights of the *PC* and *FC* feature spaces.
+//!   `<option>`, anchor text) as it is parsed — the raw material for the
+//!   location-aware TF-IDF weights of the *PC* and *FC* feature spaces.
 //!
 //! The parser is intentionally not a full HTML5 implementation: it is a
 //! robust approximation tuned for text and form extraction, which is all the
@@ -51,8 +53,8 @@ pub mod stream;
 pub mod tokenizer;
 
 pub use coverage::{Coverage, CoverageMap, CoveragePoint};
-pub use dom::{Document, Node, NodeId, ParseStats};
-pub use extract::{located_text, LocatedText, TextLocation};
+pub use dom::{parse_into, DocSink, Document, Node, NodeId, ParseStats, TreeSink};
+pub use extract::{located_text, LocatedSink, LocatedText, TextLocation};
 pub use form::{extract_forms, Form, FormField, FormFieldKind, FormMethod};
 pub use labels::{extract_labeled_fields, LabelSource, LabeledField};
 pub use sanitize::strip_control_chars;

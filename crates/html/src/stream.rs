@@ -38,13 +38,26 @@
 //! raw-text element (`<script>`…) whose close tag has not arrived, which
 //! cannot be emitted early because the token model represents it as a
 //! single text run.
+//!
+//! A drain that commits nothing re-lexed a held token from its start. So
+//! after such a drain the parser does not lex again until the buffer has
+//! at least doubled: a comment, text run or `<script>` body that arrives
+//! in many small pushes is then lexed O(log n) times, not once per push.
+//! Committing later is always safe by the over-hold argument above, so
+//! the retry rule never changes the output; `finish` always drains.
+//!
+//! The tree builder reports to any [`TreeSink`]: the default [`DocSink`]
+//! builds the [`Document`], and a sink that only reads the events (the
+//! located-text sink of [`crate::extract`]) gets the same events in the
+//! same order as a whole-input [`parse_into`](crate::dom::parse_into).
 
 use crate::coverage::Coverage;
-use crate::dom::{Document, ParseStats, TreeBuilder};
+use crate::dom::{DocSink, Document, ParseStats, TreeBuilder, TreeSink};
 use crate::tokenizer::{Token, Tokenizer};
 
 /// An incremental HTML parser: push chunks, then [`finish`] into a
-/// [`Document`] identical to parsing the whole input at once.
+/// [`Document`] identical to parsing the whole input at once (or, over
+/// another [`TreeSink`], [`finish_sink`] into that sink).
 ///
 /// ```
 /// use cafc_html::StreamingParser;
@@ -57,30 +70,55 @@ use crate::tokenizer::{Token, Tokenizer};
 /// ```
 ///
 /// [`finish`]: StreamingParser::finish
-pub struct StreamingParser {
+/// [`finish_sink`]: StreamingParser::finish_sink
+pub struct StreamingParser<S = DocSink> {
     /// Decoded-but-uncommitted input: the held tail of the document.
     buf: String,
     /// 0–3 trailing bytes of an incomplete UTF-8 sequence from
     /// [`push_bytes`](StreamingParser::push_bytes).
     utf8_tail: Vec<u8>,
     /// Raw-text element the committed prefix left open, if any.
-    raw_text_until: Option<String>,
-    builder: TreeBuilder,
+    raw_text_until: Option<&'static str>,
+    /// Buffer length below which a push does not lex: twice the length
+    /// at the last drain that committed nothing.
+    retry_at: usize,
+    builder: TreeBuilder<S>,
 }
 
 impl StreamingParser {
-    /// An empty parser.
+    /// An empty parser that builds a [`Document`].
+    pub fn new() -> StreamingParser {
+        StreamingParser::with_sink(DocSink::default())
+    }
+
+    /// End of input: resolve the held tail under EOF semantics and return
+    /// the document.
+    pub fn finish(self) -> Document {
+        self.finish_with_stats().0
+    }
+
+    /// Like [`finish`](StreamingParser::finish), also reporting which
+    /// structural caps were hit.
+    pub fn finish_with_stats(self) -> (Document, ParseStats) {
+        let (sink, stats) = self.finish_sink();
+        (sink.into_document(), stats)
+    }
+}
+
+impl<S: TreeSink> StreamingParser<S> {
+    /// An empty parser reporting to `sink`.
     ///
     /// Coverage instrumentation stays disabled internally: held tokens are
     /// re-lexed on later pushes, which would double-count tokenizer
-    /// transitions; the fuzz oracles compare the *documents*, which are
+    /// transitions; the fuzz oracles compare the *outputs*, which are
     /// unaffected.
-    pub fn new() -> StreamingParser {
+    pub fn with_sink(sink: S) -> StreamingParser<S> {
         StreamingParser {
             buf: String::new(),
             utf8_tail: Vec::new(),
             raw_text_until: None,
-            builder: TreeBuilder::new(Coverage::disabled()),
+            retry_at: 0,
+            builder: TreeBuilder::new(sink, Coverage::disabled()),
         }
     }
 
@@ -144,14 +182,8 @@ impl StreamingParser {
     }
 
     /// End of input: resolve the held tail under EOF semantics and return
-    /// the document.
-    pub fn finish(self) -> Document {
-        self.finish_with_stats().0
-    }
-
-    /// Like [`finish`](StreamingParser::finish), also reporting which
-    /// structural caps were hit.
-    pub fn finish_with_stats(mut self) -> (Document, ParseStats) {
+    /// the sink with the caps hit while parsing.
+    pub fn finish_sink(mut self) -> (S, ParseStats) {
         if !self.utf8_tail.is_empty() {
             // The stream ended inside a UTF-8 sequence: one replacement
             // char, as from_utf8_lossy emits for a truncated tail.
@@ -165,11 +197,14 @@ impl StreamingParser {
     /// Lex the buffered tail, committing every token that cannot be
     /// contradicted by future input (all of them when `at_eof`).
     fn drain(&mut self, at_eof: bool) {
+        if !at_eof && self.buf.len() < self.retry_at {
+            return;
+        }
         let mut committed = 0usize;
-        let mut committed_raw = self.raw_text_until.clone();
+        let mut committed_raw = self.raw_text_until;
         {
             let mut lexer = Tokenizer::new(&self.buf);
-            lexer.raw_text_until = self.raw_text_until.clone();
+            lexer.raw_text_until = self.raw_text_until;
             loop {
                 let before = lexer.pos();
                 let Some(token) = lexer.next_token() else {
@@ -190,16 +225,21 @@ impl StreamingParser {
                             lexer.bump(1);
                         }
                         committed = lexer.pos();
-                        committed_raw = lexer.raw_text_until.clone();
+                        committed_raw = lexer.raw_text_until;
                         continue;
                     }
                 }
                 self.builder.feed(token);
                 committed = end;
-                committed_raw = lexer.raw_text_until.clone();
+                committed_raw = lexer.raw_text_until;
             }
         }
         self.raw_text_until = committed_raw;
+        self.retry_at = if committed == 0 {
+            self.buf.len().saturating_mul(2)
+        } else {
+            0
+        };
         self.buf.drain(..committed);
     }
 }

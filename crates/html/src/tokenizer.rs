@@ -5,6 +5,9 @@
 //! malformed markup that dominates real form pages: unclosed tags, bare
 //! attributes, unquoted values, stray `<` in text, case-mixed tag names.
 //!
+//! Tokens borrow from the input: a name is copied only when it needs
+//! lowercasing, a value or text run only when it contains an entity.
+//!
 //! Raw-text elements (`<script>`, `<style>`, `<textarea>`, `<title>`,
 //! `<xmp>`) are handled per the HTML parsing rules: their content is
 //! consumed verbatim until the matching end tag, so JavaScript containing
@@ -12,39 +15,50 @@
 
 use crate::coverage::{Coverage, CoveragePoint};
 use crate::entities::decode;
+use std::borrow::Cow;
 
 /// A single HTML attribute, with its value entity-decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
+pub struct Attribute<'a> {
     /// Attribute name, lowercased.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Attribute value; empty string for bare attributes like `checked`.
-    pub value: String,
+    pub value: Cow<'a, str>,
+}
+
+impl Attribute<'_> {
+    /// A copy that owns its strings.
+    pub(crate) fn into_owned(self) -> Attribute<'static> {
+        Attribute {
+            name: Cow::Owned(self.name.into_owned()),
+            value: Cow::Owned(self.value.into_owned()),
+        }
+    }
 }
 
 /// One lexical token of the HTML input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<name attr=value ...>`; `self_closing` is true for `<br/>` forms.
     StartTag {
         /// Tag name, lowercased.
-        name: String,
+        name: Cow<'a, str>,
         /// Attributes in document order; duplicates preserved.
-        attrs: Vec<Attribute>,
+        attrs: Vec<Attribute<'a>>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag {
         /// Tag name, lowercased.
-        name: String,
+        name: Cow<'a, str>,
     },
     /// A run of character data, entity-decoded. Never empty.
-    Text(String),
+    Text(Cow<'a, str>),
     /// `<!-- ... -->` contents (not decoded).
-    Comment(String),
+    Comment(&'a str),
     /// `<!DOCTYPE ...>` body.
-    Doctype(String),
+    Doctype(&'a str),
 }
 
 /// Elements whose content is raw text: no tags are recognized inside until
@@ -59,7 +73,7 @@ pub struct Tokenizer<'a> {
     /// streaming parser snapshots and restores this field across chunk
     /// boundaries, so a `<script>` opened in one chunk keeps raw-text
     /// semantics in the next.
-    pub(crate) raw_text_until: Option<String>,
+    pub(crate) raw_text_until: Option<&'static str>,
     /// Coverage sink; disabled (a single branch per record) by default.
     cov: Coverage,
 }
@@ -87,7 +101,7 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Tokenize the whole input into a vector.
-    pub fn run(input: &'a str) -> Vec<Token> {
+    pub fn run(input: &'a str) -> Vec<Token<'a>> {
         Tokenizer::new(input).collect()
     }
 
@@ -99,51 +113,59 @@ impl<'a> Tokenizer<'a> {
         self.pos = (self.pos + n).min(self.input.len());
     }
 
-    /// Scan raw text until `</name` (ASCII case-insensitive).
-    fn next_raw_text(&mut self, name: &str) -> Option<Token> {
+    /// Scan raw text until `</name` (ASCII case-insensitive), comparing in
+    /// place at each `</` so the scan is linear in the text it passes.
+    fn next_raw_text(&mut self, name: &'static str) -> Option<Token<'a>> {
         let rest = self.rest();
-        let lower = rest.to_ascii_lowercase();
-        let needle = format!("</{name}");
-        match lower.find(&needle) {
+        let bytes = rest.as_bytes();
+        let needle_len = 2 + name.len();
+        let mut from = 0;
+        let close = loop {
+            let Some(i) = rest[from..].find("</").map(|i| from + i) else {
+                break None;
+            };
+            if bytes
+                .get(i + 2..i + needle_len)
+                .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()))
+            {
+                break Some(i);
+            }
+            from = i + 2;
+        };
+        match close {
             Some(0) => {
                 // Immediately at the end tag: consume `</name ...>`.
                 self.cov.record(CoveragePoint::RawTextClose);
                 self.raw_text_until = None;
-                let after = &rest[needle.len()..];
+                let after = &rest[needle_len..];
                 let close = after.find('>').map(|i| i + 1).unwrap_or(after.len());
-                self.bump(needle.len() + close);
+                self.bump(needle_len + close);
                 Some(Token::EndTag {
-                    name: name.to_owned(),
+                    name: Cow::Borrowed(name),
                 })
             }
             Some(idx) => {
-                let text = &rest[..idx];
                 self.bump(idx);
-                if text.is_empty() {
-                    self.next_token()
-                } else {
-                    self.cov.record(CoveragePoint::Text);
-                    Some(Token::Text(decode(text)))
-                }
+                self.cov.record(CoveragePoint::Text);
+                Some(Token::Text(decode(&rest[..idx])))
             }
             None => {
                 // Unterminated raw text: everything remaining is content.
                 self.cov.record(CoveragePoint::RawTextUnterminated);
                 self.raw_text_until = None;
-                let text = rest;
                 self.bump(rest.len());
-                if text.is_empty() {
+                if rest.is_empty() {
                     None
                 } else {
-                    Some(Token::Text(decode(text)))
+                    Some(Token::Text(decode(rest)))
                 }
             }
         }
     }
 
-    pub(crate) fn next_token(&mut self) -> Option<Token> {
-        if let Some(name) = self.raw_text_until.clone() {
-            return self.next_raw_text(&name);
+    pub(crate) fn next_token(&mut self) -> Option<Token<'a>> {
+        if let Some(name) = self.raw_text_until {
+            return self.next_raw_text(name);
         }
         let rest = self.rest();
         if rest.is_empty() {
@@ -163,7 +185,7 @@ impl<'a> Tokenizer<'a> {
                     }
                 };
                 self.bump(consumed);
-                return Some(Token::Comment(body.to_owned()));
+                return Some(Token::Comment(body));
             }
             if after_lt.starts_with('!') || after_lt.starts_with('?') {
                 // Doctype / processing instruction: scan for '>'.
@@ -173,7 +195,7 @@ impl<'a> Tokenizer<'a> {
                     None => (&after_lt[1..], rest.len()),
                 };
                 self.bump(consumed);
-                return Some(Token::Doctype(body.trim().to_owned()));
+                return Some(Token::Doctype(body.trim()));
             }
             if let Some(after_slash) = after_lt.strip_prefix('/') {
                 // End tag.
@@ -182,8 +204,8 @@ impl<'a> Tokenizer<'a> {
                     .next()
                     .is_some_and(|c| c.is_ascii_alphabetic())
                 {
-                    let (name_end, _) = tag_name_end(after_slash);
-                    let name = after_slash[..name_end].to_ascii_lowercase();
+                    let name_end = tag_name_end(after_slash);
+                    let name = lowercase(&after_slash[..name_end]);
                     let after_name = &after_slash[name_end..];
                     let consumed = 2
                         + name_end
@@ -200,7 +222,7 @@ impl<'a> Tokenizer<'a> {
                 // `</` not followed by a letter: literal text.
                 self.cov.record(CoveragePoint::StrayEndTag);
                 self.bump(1);
-                return Some(Token::Text("<".to_owned()));
+                return Some(Token::Text(Cow::Borrowed("<")));
             }
             if after_lt
                 .chars()
@@ -212,7 +234,7 @@ impl<'a> Tokenizer<'a> {
             // Stray '<': treat as text.
             self.cov.record(CoveragePoint::StrayLt);
             self.bump(1);
-            return Some(Token::Text("<".to_owned()));
+            return Some(Token::Text(Cow::Borrowed("<")));
         }
         // Character data until the next '<'.
         self.cov.record(CoveragePoint::Text);
@@ -224,9 +246,9 @@ impl<'a> Tokenizer<'a> {
 
     /// Parse a start tag beginning right after `<`; `after_lt` starts at the
     /// first name character.
-    fn scan_start_tag(&mut self, after_lt: &str) -> Token {
-        let (name_end, _) = tag_name_end(after_lt);
-        let name = after_lt[..name_end].to_ascii_lowercase();
+    fn scan_start_tag(&mut self, after_lt: &'a str) -> Token<'a> {
+        let name_end = tag_name_end(after_lt);
+        let name = lowercase(&after_lt[..name_end]);
         self.cov.record(CoveragePoint::StartTag);
         self.cov
             .record(CoveragePoint::TagName(CoveragePoint::tag_bucket(&name)));
@@ -273,13 +295,13 @@ impl<'a> Tokenizer<'a> {
                 s = it.as_str();
                 continue;
             }
-            let attr_name = s[..name_len].to_ascii_lowercase();
+            let attr_name = lowercase(&s[..name_len]);
             self.cov
                 .record(CoveragePoint::AttrName(CoveragePoint::attr_bucket(
                     &attr_name,
                 )));
             s = s[name_len..].trim_start();
-            let mut value = String::new();
+            let mut value = Cow::Borrowed("");
             if let Some(r) = s.strip_prefix('=') {
                 let r = r.trim_start();
                 if let Some(q) = r.strip_prefix('"') {
@@ -310,9 +332,11 @@ impl<'a> Tokenizer<'a> {
                 value,
             });
         }
-        if RAW_TEXT_ELEMENTS.contains(&name.as_str()) && !self_closing {
-            self.cov.record(CoveragePoint::RawTextEnter);
-            self.raw_text_until = Some(name.clone());
+        if !self_closing {
+            if let Some(&raw) = RAW_TEXT_ELEMENTS.iter().find(|&&raw| raw == name) {
+                self.cov.record(CoveragePoint::RawTextEnter);
+                self.raw_text_until = Some(raw);
+            }
         }
         Token::StartTag {
             name,
@@ -322,20 +346,27 @@ impl<'a> Tokenizer<'a> {
     }
 }
 
-/// Index of the first character after the tag name, plus that index.
-fn tag_name_end(s: &str) -> (usize, ()) {
-    let idx = s
-        .char_indices()
+/// `s` lowercased, copied only when it has an ASCII uppercase letter.
+fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Index of the first character after the tag name.
+fn tag_name_end(s: &str) -> usize {
+    s.char_indices()
         .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '-' || *c == ':'))
         .map(|(i, _)| i)
-        .unwrap_or(s.len());
-    (idx, ())
+        .unwrap_or(s.len())
 }
 
 impl<'a> Iterator for Tokenizer<'a> {
-    type Item = Token;
+    type Item = Token<'a>;
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         loop {
             let before = self.pos;
             let tok = self.next_token()?;
@@ -360,11 +391,11 @@ impl<'a> Iterator for Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         Tokenizer::run(s)
     }
 
-    fn start(name: &str) -> Token {
+    fn start(name: &str) -> Token<'_> {
         Token::StartTag {
             name: name.into(),
             attrs: vec![],
@@ -465,7 +496,7 @@ mod tests {
             t,
             vec![
                 Token::Text("a".into()),
-                Token::Comment(" note ".into()),
+                Token::Comment(" note "),
                 Token::Text("b".into())
             ]
         );
@@ -474,16 +505,13 @@ mod tests {
     #[test]
     fn unterminated_comment_consumes_rest() {
         let t = toks("a<!-- oops");
-        assert_eq!(
-            t,
-            vec![Token::Text("a".into()), Token::Comment(" oops".into())]
-        );
+        assert_eq!(t, vec![Token::Text("a".into()), Token::Comment(" oops")]);
     }
 
     #[test]
     fn doctype() {
         let t = toks("<!DOCTYPE html><p>x</p>");
-        assert_eq!(t[0], Token::Doctype("DOCTYPE html".into()));
+        assert_eq!(t[0], Token::Doctype("DOCTYPE html"));
     }
 
     #[test]
@@ -538,7 +566,7 @@ mod tests {
         let joined: String = t
             .iter()
             .map(|t| match t {
-                Token::Text(s) => s.clone(),
+                Token::Text(s) => s.to_string(),
                 _ => String::new(),
             })
             .collect();

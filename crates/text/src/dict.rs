@@ -17,7 +17,9 @@ impl TermId {
     }
 }
 
-/// An append-only interner mapping terms to dense ids.
+/// An interner mapping terms to dense ids, assigned in first-intern order.
+/// [`TermDict::truncate`] can forget a suffix of them; ids below the cut
+/// never change.
 ///
 /// It also keeps a private memo for [`Analyzer`](crate::Analyzer): surface
 /// token → the term id analysis gave it, or `None` when analysis dropped
@@ -74,6 +76,20 @@ impl TermDict {
     /// True when no terms have been interned.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// Forget every term interned since the dictionary held `len` terms,
+    /// with the analysis memo entries that name one, so a page rejected
+    /// after its text was analysed leaves the ids of later terms unchanged.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.terms.len() {
+            return;
+        }
+        for term in self.terms.drain(len..) {
+            self.by_term.remove(&term);
+        }
+        self.memo
+            .retain(|_, term| term.is_none_or(|id| id.index() < len));
     }
 
     /// Make the memo valid for analysis under `flags`
@@ -141,6 +157,22 @@ mod tests {
         d.intern("y");
         let got: Vec<_> = d.iter().map(|(id, t)| (id.0, t.to_owned())).collect();
         assert_eq!(got, vec![(0, "x".to_owned()), (1, "y".to_owned())]);
+    }
+
+    #[test]
+    fn truncate_forgets_later_terms() {
+        let mut d = TermDict::new();
+        d.intern("a");
+        d.memo_for((true, true));
+        let b = d.intern("b");
+        d.memo_put("as", Some(b));
+        d.memo_put("the", None);
+        d.truncate(1);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d.get("b"), None);
+        assert_eq!(d.memo_get("as"), None);
+        assert_eq!(d.memo_get("the"), Some(None));
+        assert_eq!(d.intern("c"), TermId(1));
     }
 
     #[test]

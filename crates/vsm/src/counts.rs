@@ -5,16 +5,24 @@
 //! it occurred (e.g. 0.5 inside an `<option>`, 2.0 inside `<title>`). With
 //! all weights at 1.0 this degenerates to plain term frequency, which is
 //! exactly the §4.4 "uniform weights" ablation.
+//!
+//! Occurrences are appended to one run and [`CountsBuilder::fold`] sorts it
+//! once, *stably* by term id, then sums each term's weights from `0.0` in
+//! arrival order. That is the order a per-term `HashMap` accumulator adds
+//! them in, so every sum has the same bits as one, for any weights.
 
 use crate::df::DocumentFrequencies;
 use crate::sparse::SparseVector;
 use cafc_text::TermId;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Accumulates `Σ_occurrences loc_weight` per term for one document.
 #[derive(Debug, Clone, Default)]
 pub struct CountsBuilder {
-    counts: HashMap<TermId, f64>,
+    /// `(term, weight)` occurrences; one entry per term, sorted by term,
+    /// when `folded`.
+    entries: Vec<(TermId, f64)>,
+    folded: bool,
 }
 
 impl CountsBuilder {
@@ -30,7 +38,8 @@ impl CountsBuilder {
         if !loc_weight.is_finite() {
             return;
         }
-        *self.counts.entry(term).or_insert(0.0) += loc_weight;
+        self.entries.push((term, loc_weight));
+        self.folded = false;
     }
 
     /// Add every term in `terms` with the same location weight.
@@ -43,34 +52,51 @@ impl CountsBuilder {
         }
     }
 
-    /// Distinct term ids seen so far (order unspecified) — feed these to
-    /// [`DocumentFrequencies::add_document`].
-    pub fn term_ids(&self) -> Vec<TermId> {
-        self.counts.keys().copied().collect()
+    /// Sort the occurrences stably by term and sum each term's weights, in
+    /// place. Reads fold on the fly when this has not run since the last
+    /// [`CountsBuilder::add`], so calling it only saves their work.
+    pub fn fold(&mut self) {
+        if !self.folded {
+            fold_runs(&mut self.entries);
+            self.folded = true;
+        }
+    }
+
+    /// Each term's summed weight, ascending by term.
+    pub(crate) fn folded(&self) -> Cow<'_, [(TermId, f64)]> {
+        if self.folded {
+            Cow::Borrowed(&self.entries)
+        } else {
+            let mut entries = self.entries.clone();
+            fold_runs(&mut entries);
+            Cow::Owned(entries)
+        }
     }
 
     /// True when nothing has been added.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// Number of distinct terms.
     pub fn distinct_terms(&self) -> usize {
-        self.counts.len()
+        self.folded().len()
     }
 
     /// Rewrite every term id through `f`, merging counts when two ids map
     /// to the same target. Used when documents are tokenized against a
-    /// chunk-local dictionary and later re-based onto the shared one.
-    pub fn remap<F>(self, f: F) -> CountsBuilder
+    /// chunk-local dictionary and later re-based onto the shared one, where
+    /// `f` is injective and the rewrite is a gather and one sort.
+    pub fn remap<F>(mut self, f: F) -> CountsBuilder
     where
         F: Fn(TermId) -> TermId,
     {
-        let mut counts = HashMap::with_capacity(self.counts.len());
-        for (term, weight) in self.counts {
-            *counts.entry(f(term)).or_insert(0.0) += weight;
+        self.fold();
+        for entry in &mut self.entries {
+            entry.0 = f(entry.0);
         }
-        CountsBuilder { counts }
+        fold_runs(&mut self.entries);
+        self
     }
 
     /// Lossless dump of the accumulated `(term, weight)` entries, sorted by
@@ -80,34 +106,56 @@ impl CountsBuilder {
     /// the checkpoint/resume path depends on that round trip for
     /// bit-identical IDF on resume.
     pub fn entries(&self) -> Vec<(TermId, f64)> {
-        let mut entries: Vec<(TermId, f64)> = self.counts.iter().map(|(&t, &w)| (t, w)).collect();
-        entries.sort_by_key(|&(t, _)| t);
-        entries
+        self.folded().into_owned()
     }
 
     /// Rebuild a builder from [`CountsBuilder::entries`] output. Weights
     /// are restored verbatim (they were finite when admitted by `add`).
     pub fn from_entries(entries: &[(TermId, f64)]) -> CountsBuilder {
         CountsBuilder {
-            counts: entries.iter().copied().collect(),
+            entries: entries.to_vec(),
+            folded: entries.windows(2).all(|w| w[0].0 < w[1].0),
         }
     }
 
     /// The raw weighted-TF vector (no IDF).
     pub fn tf(&self) -> SparseVector {
-        SparseVector::from_entries(self.counts.iter().map(|(&t, &w)| (t, w)).collect())
+        SparseVector::from_sorted(self.folded().into_owned())
     }
 
     /// The full Equation-1 vector: `w_i = (Σ LOC) × idf(i)` over this
     /// document's terms, using collection statistics `df`.
     pub fn tf_idf(&self, df: &DocumentFrequencies) -> SparseVector {
-        SparseVector::from_entries(
-            self.counts
+        SparseVector::from_sorted(
+            self.folded()
                 .iter()
-                .map(|(&t, &w)| (t, w * df.idf(t)))
+                .map(|&(t, w)| (t, w * df.idf(t)))
                 .collect(),
         )
     }
+}
+
+/// Stable-sort `entries` by term, then replace each term's run with one
+/// entry holding its weights summed from `0.0` in run order. The vector is
+/// shrunk to the distinct count: a page's counts wait for the chunk merge
+/// alongside a whole shard's pages, and should not hold their occurrence
+/// run's capacity meanwhile.
+fn fold_runs(entries: &mut Vec<(TermId, f64)>) {
+    entries.sort_by_key(|&(t, _)| t);
+    let mut out = 0;
+    let mut i = 0;
+    while i < entries.len() {
+        let term = entries[i].0;
+        let mut sum = 0.0;
+        while i < entries.len() && entries[i].0 == term {
+            sum += entries[i].1;
+            i += 1;
+        }
+        entries[out] = (term, sum);
+        out += 1;
+    }
+    entries.truncate(out);
+    entries.shrink_to_fit();
 }
 
 #[cfg(test)]
@@ -141,8 +189,11 @@ mod tests {
     #[test]
     fn tfidf_zeroes_ubiquitous_terms() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0), t(1)]);
-        df.add_document(vec![t(0)]);
+        for terms in [vec![t(0), t(1)], vec![t(0)]] {
+            let mut doc = CountsBuilder::new();
+            doc.add_all(terms, 1.0);
+            df.add_counts(&doc);
+        }
 
         let mut b = CountsBuilder::new();
         b.add(t(0), 3.0); // in every doc -> idf 0 -> dropped
@@ -201,8 +252,7 @@ mod tests {
         b.add(t(3), 1.0);
         b.add(t(3), 1.0);
         b.add(t(5), 1.0);
-        let mut ids = b.term_ids();
-        ids.sort_unstable();
+        let ids: Vec<TermId> = b.entries().iter().map(|&(t, _)| t).collect();
         assert_eq!(ids, vec![t(3), t(5)]);
     }
 }

@@ -6,6 +6,7 @@
 //! IDF of zero — the paper's mechanism for suppressing web-generic noise
 //! such as `privaci`, `shop`, `copyright`, `help` (§2.1).
 
+use crate::counts::CountsBuilder;
 use cafc_text::TermId;
 
 /// Document-frequency table for a document collection.
@@ -23,16 +24,11 @@ impl DocumentFrequencies {
         DocumentFrequencies::default()
     }
 
-    /// Record one document's *distinct* terms. `terms` may contain
-    /// duplicates; each term counts once per document.
-    pub fn add_document<I>(&mut self, terms: I)
-    where
-        I: IntoIterator<Item = TermId>,
-    {
-        let mut distinct: Vec<TermId> = terms.into_iter().collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for term in distinct {
+    /// Record one document: each distinct term of its counts once. Their
+    /// ids are already sorted and distinct, so this is one pass with no
+    /// sort. A term whose weights summed to zero still counts.
+    pub fn add_counts(&mut self, counts: &CountsBuilder) {
+        for &(term, _) in counts.folded().iter() {
             let idx = term.index();
             if idx >= self.doc_freq.len() {
                 self.doc_freq.resize(idx + 1, 0);
@@ -83,11 +79,18 @@ mod tests {
         TermId(i)
     }
 
+    /// Record one document holding `terms` (duplicates allowed).
+    fn add(df: &mut DocumentFrequencies, terms: &[u32]) {
+        let mut counts = CountsBuilder::new();
+        counts.add_all(terms.iter().map(|&i| t(i)), 1.0);
+        df.add_counts(&counts);
+    }
+
     #[test]
     fn counts_distinct_terms_once_per_doc() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0), t(0), t(1)]);
-        df.add_document(vec![t(0)]);
+        add(&mut df, &[0, 0, 1]);
+        add(&mut df, &[0]);
         assert_eq!(df.num_docs(), 2);
         assert_eq!(df.doc_freq(t(0)), 2);
         assert_eq!(df.doc_freq(t(1)), 1);
@@ -97,17 +100,17 @@ mod tests {
     #[test]
     fn idf_ubiquitous_term_is_zero() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0)]);
-        df.add_document(vec![t(0)]);
+        add(&mut df, &[0]);
+        add(&mut df, &[0]);
         assert_eq!(df.idf(t(0)), 0.0);
     }
 
     #[test]
     fn idf_rare_term_is_positive() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0), t(1)]);
-        df.add_document(vec![t(0)]);
-        df.add_document(vec![t(0)]);
+        add(&mut df, &[0, 1]);
+        add(&mut df, &[0]);
+        add(&mut df, &[0]);
         let idf = df.idf(t(1));
         assert!((idf - (3.0f64).ln()).abs() < 1e-12);
     }
@@ -115,7 +118,7 @@ mod tests {
     #[test]
     fn idf_unseen_term_is_zero() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0)]);
+        add(&mut df, &[0]);
         assert_eq!(df.idf(t(7)), 0.0);
     }
 
@@ -128,17 +131,17 @@ mod tests {
     #[test]
     fn idf_monotone_in_rarity() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0), t(1)]);
-        df.add_document(vec![t(0), t(1)]);
-        df.add_document(vec![t(0)]);
-        df.add_document(vec![t(0)]);
+        add(&mut df, &[0, 1]);
+        add(&mut df, &[0, 1]);
+        add(&mut df, &[0]);
+        add(&mut df, &[0]);
         assert!(df.idf(t(1)) > df.idf(t(0)));
     }
 
     #[test]
     fn iter_skips_zero() {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(2)]);
+        add(&mut df, &[2]);
         let got: Vec<_> = df.iter().collect();
         assert_eq!(got, vec![(t(2), 1)]);
     }

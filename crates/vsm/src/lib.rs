@@ -26,8 +26,8 @@
 //! b.add(hotel, 1.0);
 //!
 //! let mut df = DocumentFrequencies::new();
-//! df.add_document(a.term_ids());
-//! df.add_document(b.term_ids());
+//! df.add_counts(&a);
+//! df.add_counts(&b);
 //!
 //! let va = a.tf_idf(&df);
 //! let vb = b.tf_idf(&df);

@@ -88,18 +88,23 @@ pub fn weigh(
     tf_scheme: TfScheme,
     idf_scheme: IdfScheme,
 ) -> SparseVector {
-    let tf = counts.tf();
-    let max_tf = tf.entries().iter().map(|&(_, w)| w).fold(0.0f64, f64::max);
-    SparseVector::from_entries(
-        tf.entries()
-            .iter()
-            .map(|&(t, w)| {
-                (
-                    t,
-                    tf_scheme.apply(w, max_tf) * idf_scheme.apply(df.num_docs(), df.doc_freq(t)),
-                )
-            })
-            .collect(),
+    // The raw TF vector's entries: every summed weight but zero and
+    // non-finite ones, as `CountsBuilder::tf` keeps.
+    let sums = counts.folded();
+    let tf = || {
+        sums.iter()
+            .copied()
+            .filter(|&(_, w)| w.is_finite() && w != 0.0)
+    };
+    let max_tf = tf().map(|(_, w)| w).fold(0.0f64, f64::max);
+    SparseVector::from_sorted(
+        tf().map(|(t, w)| {
+            (
+                t,
+                tf_scheme.apply(w, max_tf) * idf_scheme.apply(df.num_docs(), df.doc_freq(t)),
+            )
+        })
+        .collect(),
     )
 }
 
@@ -114,9 +119,11 @@ mod tests {
 
     fn setup() -> (CountsBuilder, DocumentFrequencies) {
         let mut df = DocumentFrequencies::new();
-        df.add_document(vec![t(0), t(1)]);
-        df.add_document(vec![t(0)]);
-        df.add_document(vec![t(0)]);
+        for terms in [vec![t(0), t(1)], vec![t(0)], vec![t(0)]] {
+            let mut doc = CountsBuilder::new();
+            doc.add_all(terms, 1.0);
+            df.add_counts(&doc);
+        }
         let mut b = CountsBuilder::new();
         b.add(t(0), 4.0);
         b.add(t(1), 1.0);

@@ -51,6 +51,17 @@ impl SparseVector {
         SparseVector::new(merged)
     }
 
+    /// Build from entries already strictly sorted by term id, dropping zero
+    /// and non-finite weights: [`SparseVector::from_entries`] without its
+    /// sort and merge. The entries are shrunk to fit, since a corpus keeps
+    /// its vectors for its whole life.
+    pub(crate) fn from_sorted(mut entries: Vec<(TermId, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        entries.retain(|&(_, w)| w.is_finite() && w != 0.0);
+        entries.shrink_to_fit();
+        SparseVector::new(entries)
+    }
+
     /// Entries, strictly sorted by term id.
     pub fn entries(&self) -> &[(TermId, f64)] {
         &self.entries

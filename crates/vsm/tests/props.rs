@@ -2,14 +2,16 @@
 //! symmetry and range (Equation 2), norm and centroid identities on
 //! generated vectors (duplicate term ids, negative and zero weights
 //! included), the scatter centroid against the pairwise fold it
-//! replaced, and the IDF behaviour behind the paper's noise suppression.
+//! replaced, the IDF behaviour behind the paper's noise suppression, and
+//! the sorted-run term counts against the `HashMap` builder they replaced.
 //! Runs offline on every commit.
 
 use cafc_check::corpus::sparse_entries;
 use cafc_check::gen::{bools, f64s, from_slice, one_of, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_close, require_eq, CheckConfig};
 use cafc_text::TermId;
-use cafc_vsm::{CountsBuilder, DocumentFrequencies, SparseVector};
+use cafc_vsm::{weigh, CountsBuilder, DocumentFrequencies, IdfScheme, SparseVector, TfScheme};
+use std::collections::HashMap;
 
 fn vector() -> Gen<SparseVector> {
     sparse_entries(32, 12).map(|entries| {
@@ -269,7 +271,9 @@ fn idf_antimonotone_in_document_frequency() {
             if d < common {
                 terms.push(TermId(1));
             }
-            df.add_document(terms);
+            let mut doc = CountsBuilder::new();
+            doc.add_all(terms, 1.0);
+            df.add_counts(&doc);
         }
         require!(df.idf(TermId(0)) >= 0.0, "negative idf");
         if rare < common {
@@ -291,8 +295,10 @@ fn ubiquitous_term_vanishes() {
         pairs(&f64s(1.0, 100.0), &usizes(2, 19)),
         |&(tf, n_docs)| {
             let mut df = DocumentFrequencies::new();
+            let mut doc = CountsBuilder::new();
+            doc.add_all([TermId(0), TermId(1)], 1.0);
             for _ in 0..n_docs {
-                df.add_document(vec![TermId(0), TermId(1)]);
+                df.add_counts(&doc);
             }
             let mut counts = CountsBuilder::new();
             counts.add(TermId(0), tf);
@@ -300,4 +306,177 @@ fn ubiquitous_term_vanishes() {
             Ok(())
         }
     );
+}
+
+/// The per-term `HashMap` accumulator `CountsBuilder` used before it
+/// became one sorted run, kept as the reference the run must match bit
+/// for bit: each term's weights are added from `0.0` in arrival order.
+#[derive(Default)]
+struct HashCounts {
+    counts: HashMap<TermId, f64>,
+}
+
+impl HashCounts {
+    fn add(&mut self, term: TermId, w: f64) {
+        if w.is_finite() {
+            *self.counts.entry(term).or_insert(0.0) += w;
+        }
+    }
+
+    fn entries(&self) -> Vec<(TermId, f64)> {
+        let mut entries: Vec<_> = self.counts.iter().map(|(&t, &w)| (t, w)).collect();
+        entries.sort_by_key(|&(t, _)| t);
+        entries
+    }
+
+    fn tf(&self) -> SparseVector {
+        SparseVector::from_entries(self.counts.iter().map(|(&t, &w)| (t, w)).collect())
+    }
+
+    fn remap(&self, f: impl Fn(TermId) -> TermId) -> HashCounts {
+        let mut out = HashCounts::default();
+        for (&t, &w) in &self.counts {
+            *out.counts.entry(f(t)).or_insert(0.0) += w;
+        }
+        out
+    }
+
+    /// `weigh` as it read over the `HashMap` builder.
+    fn weigh(&self, df: &DocumentFrequencies, tf: TfScheme, idf: IdfScheme) -> SparseVector {
+        let v = self.tf();
+        let max_tf = v.entries().iter().map(|&(_, w)| w).fold(0.0f64, f64::max);
+        SparseVector::from_entries(
+            v.entries()
+                .iter()
+                .map(|&(t, w)| {
+                    let tf = match tf {
+                        TfScheme::Raw => w,
+                        TfScheme::Log if w > 0.0 => 1.0 + w.ln(),
+                        TfScheme::Binary if w > 0.0 => 1.0,
+                        TfScheme::MaxNorm if max_tf > 0.0 => w / max_tf,
+                        _ => 0.0,
+                    };
+                    (t, tf * idf.apply(df.num_docs(), df.doc_freq(t)))
+                })
+                .collect(),
+        )
+    }
+}
+
+/// `(term, weight, repeats)` occurrence groups: inexact weights, both
+/// zeros, NaN, ±∞, overflow-prone magnitudes and long repeats.
+fn occurrences() -> Gen<Vec<(TermId, f64)>> {
+    let weight = one_of(&[
+        from_slice(&[
+            0.3,
+            0.1,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            -1.5,
+            1e-300,
+            1e308,
+            -1e308,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]),
+        f64s(-3.0, 3.0),
+    ]);
+    let group = pairs(&pairs(&usizes(0, 23), &weight), &usizes(1, 40));
+    vecs(&group, 0, 24).map(|groups| {
+        groups
+            .iter()
+            .flat_map(|&((t, w), n)| std::iter::repeat_n((TermId(t as u32), w), n))
+            .collect()
+    })
+}
+
+fn same_bits(a: &[(TermId, f64)], b: &[(TermId, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+}
+
+/// Sorted-run counts equal the `HashMap` reference bit for bit: the sums
+/// and distinct ids, DF against a count of each reference's keys, `tf`,
+/// `weigh` under every scheme pair, and a remap through an injective id
+/// map.
+#[test]
+fn sorted_run_counts_match_hashmap_reference() {
+    let docs = vecs(&occurrences(), 1, 4);
+    check!(CheckConfig::new(), pairs(&docs, &usizes(0, 1000)), |(
+        docs,
+        shift,
+    )| {
+        let built: Vec<(CountsBuilder, HashCounts)> = docs
+            .iter()
+            .map(|occ| {
+                let mut run = CountsBuilder::new();
+                let mut reference = HashCounts::default();
+                for &(t, w) in occ {
+                    run.add(t, w);
+                    reference.add(t, w);
+                }
+                run.fold();
+                (run, reference)
+            })
+            .collect();
+        let mut df = DocumentFrequencies::new();
+        let mut reference_df: HashMap<TermId, u32> = HashMap::new();
+        for (run, reference) in &built {
+            df.add_counts(run);
+            for &t in reference.counts.keys() {
+                *reference_df.entry(t).or_insert(0) += 1;
+            }
+        }
+        require_eq!(df.num_docs() as usize, built.len());
+        for (run, reference) in &built {
+            let expected = reference.entries();
+            require!(same_bits(&run.entries(), &expected), "sums and ids differ");
+            require_eq!(run.distinct_terms(), expected.len());
+            for &(t, _) in &expected {
+                require_eq!(df.doc_freq(t), reference_df[&t]);
+            }
+            require!(
+                same_bits(run.tf().entries(), reference.tf().entries()),
+                "tf differs"
+            );
+            for tf in [
+                TfScheme::Raw,
+                TfScheme::Log,
+                TfScheme::Binary,
+                TfScheme::MaxNorm,
+            ] {
+                for idf in [
+                    IdfScheme::Plain,
+                    IdfScheme::Smooth,
+                    IdfScheme::Probabilistic,
+                    IdfScheme::None,
+                ] {
+                    let got = weigh(run, &df, tf, idf);
+                    // `df` equals the reference counts, checked above.
+                    let want = reference.weigh(&df, tf, idf);
+                    require!(
+                        same_bits(got.entries(), want.entries())
+                            && got.norm().to_bits() == want.norm().to_bits(),
+                        "weigh({tf:?}, {idf:?}) differs"
+                    );
+                }
+            }
+            // An injective map that reverses the order of ids.
+            let map = |t: TermId| TermId(1_000 + *shift as u32 - t.0);
+            require!(
+                same_bits(
+                    &run.clone().remap(map).entries(),
+                    &reference.remap(map).entries()
+                ),
+                "remap differs"
+            );
+        }
+        Ok(())
+    });
 }

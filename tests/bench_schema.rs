@@ -15,6 +15,9 @@
 //!   each of `batch`, `serve-keyword` and `stream`, one traced seed-10
 //!   batch pair, and a parent/change pair of the 10^5-page `cafc bench`
 //!   at one thread count and the pinned 10^5 digest;
+//! * `BENCH_16.json` — the BENCH_15 schema as `tools/bench-pairs.sh`
+//!   writes it: a summary line per workload and end-to-end metric, and
+//!   the 10^5 pair at one thread;
 //! * digest determinism — two same-config `run_bench` calls render
 //!   byte-identical digests, the property the CI `bench-smoke` job diffs
 //!   end to end through the CLI.
@@ -264,19 +267,20 @@ fn bench_12_keeps_the_pairs_schema() {
     );
 }
 
-#[test]
-fn bench_15_keeps_the_pairs_trace_and_scale_schema() {
-    let doc = committed("BENCH_15.json");
-    let runs = require_pairs(&doc);
+/// The pairs, trace and scale schema shared by `BENCH_15.json` and
+/// `BENCH_16.json`: at least ten pairs on each workload, one traced seed-10
+/// batch record per side with its self time per span and per-layer split,
+/// and a parent/change pair of the 10^5-page `cafc bench` at one thread
+/// count, both at the pinned digest. Returns that thread count.
+fn require_pairs_trace_and_scale(doc: &Value) -> f64 {
+    let runs = require_pairs(doc);
     for workload in ["batch", "serve-keyword", "stream"] {
         assert!(
             count(runs, workload, "change") >= 10,
             "fewer than ten {workload} pairs"
         );
     }
-    // The traced seed-10 batch pair: self time per span and the
-    // per-layer split, one record per side.
-    let traced = array_of(&doc, "trace_batch_seed_10");
+    let traced = array_of(doc, "trace_batch_seed_10");
     for side in ["parent", "change"] {
         let run = traced
             .iter()
@@ -288,11 +292,10 @@ fn bench_15_keeps_the_pairs_trace_and_scale_schema() {
         require_key(self_time, "cluster.kmeans", Kind::Number);
         let per_layer = require_key(run, "per_layer", Kind::Object);
         require_key(per_layer, "text.analyze_us", Kind::Number);
+        require_key(per_layer, "model.build_s", Kind::Number);
         require_key(per_layer, "cluster.kmeans_s", Kind::Number);
     }
-    // The 10^5-page `cafc bench` pair: full batch reports at one thread
-    // count, both at the pinned digest.
-    let scale = array_of(&doc, "scale_1e5");
+    let scale = array_of(doc, "scale_1e5");
     let mut threads = Vec::new();
     for side in ["parent", "change"] {
         let run = scale
@@ -309,6 +312,53 @@ fn bench_15_keeps_the_pairs_trace_and_scale_schema() {
         threads[0], threads[1],
         "10^5 pair at different thread counts"
     );
+    threads[0]
+}
+
+#[test]
+fn bench_15_keeps_the_pairs_trace_and_scale_schema() {
+    require_pairs_trace_and_scale(&committed("BENCH_15.json"));
+}
+
+#[test]
+fn bench_16_keeps_the_pairs_trace_and_scale_schema() {
+    let doc = committed("BENCH_16.json");
+    let threads = require_pairs_trace_and_scale(&doc);
+    assert_eq!(threads, 1.0, "the 10^5 pair runs at one thread");
+    // One summary line per (workload, end-to-end metric), as
+    // tools/bench-pairs.sh prints it.
+    let summary = array_of(&doc, "summary");
+    for workload in ["batch", "serve-keyword", "stream"] {
+        for metric in [
+            "setup_s",
+            "ops_per_s",
+            "latency_p50_ms",
+            "latency_p90_ms",
+            "peak_rss_mb",
+        ] {
+            let line = summary
+                .iter()
+                .find(|line| {
+                    line.get("workload").and_then(Value::as_str) == Some(workload)
+                        && line.get("metric").and_then(Value::as_str) == Some(metric)
+                })
+                .unwrap_or_else(|| panic!("no {workload} {metric} summary"));
+            for (key, kind) in [
+                ("better", Kind::Str),
+                ("pairs", Kind::Uint),
+                ("change_wins", Kind::Uint),
+                ("parent_median", Kind::Number),
+                ("parent_q1", Kind::Number),
+                ("parent_q3", Kind::Number),
+                ("change_median", Kind::Number),
+                ("change_q1", Kind::Number),
+                ("change_q3", Kind::Number),
+                ("median_ratio", Kind::Number),
+            ] {
+                require_key(line, key, kind);
+            }
+        }
+    }
 }
 
 /// Two same-config runs render byte-identical digests, and the digest
