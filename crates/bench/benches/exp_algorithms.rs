@@ -4,11 +4,10 @@
 //! linkage) and CAFC-CH. All averaged over 10 runs where seeding is
 //! random.
 
-use cafc::{cafc_c, FeatureConfig, KMeansOptions};
+use cafc::{cafc_c, ExecPolicy, FeatureConfig, KMeansOptions, Obs};
 use cafc_bench::{mean_quality, print_header, print_row, quality, run_cafc_ch, Bench, K};
 use cafc_cluster::{
-    bisecting_kmeans, hac_from_singletons, kmeans, kmeanspp_seeds, BisectOptions, HacOptions,
-    Linkage,
+    bisecting_kmeans, hac, kmeans, kmeanspp_seeds, BisectOptions, HacOptions, Linkage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +27,15 @@ fn main() {
             .map(|r| {
                 let mut rng = StdRng::seed_from_u64(r);
                 quality(
-                    &cafc_c(&space, K, &KMeansOptions::default(), &mut rng).partition,
+                    &cafc_c(
+                        &space,
+                        K,
+                        &KMeansOptions::default(),
+                        &mut rng,
+                        ExecPolicy::Serial,
+                        &Obs::disabled(),
+                    )
+                    .partition,
                     &bench.labels,
                 )
             })
@@ -43,7 +50,14 @@ fn main() {
                 let mut rng = StdRng::seed_from_u64(r);
                 let seeds = kmeanspp_seeds(&space, K, &mut rng);
                 quality(
-                    &kmeans(&space, &seeds, &KMeansOptions::default()).partition,
+                    &kmeans(
+                        &space,
+                        &seeds,
+                        &KMeansOptions::default(),
+                        ExecPolicy::Serial,
+                        &Obs::disabled(),
+                    )
+                    .partition,
                     &bench.labels,
                 )
             })
@@ -63,6 +77,8 @@ fn main() {
                         ..Default::default()
                     },
                     &mut rng,
+                    ExecPolicy::Serial,
+                    &Obs::disabled(),
                 );
                 quality(&p, &bench.labels)
             })
@@ -72,12 +88,15 @@ fn main() {
     rows.push(("bisecting", bisect));
 
     let hac_q = quality(
-        &hac_from_singletons(
+        &hac(
             &space,
+            &[],
             &HacOptions {
                 target_clusters: K,
                 linkage: Linkage::Average,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         ),
         &bench.labels,
     );

@@ -6,7 +6,7 @@
 //! the silhouette-optimal `k` recovers the true domain count.
 
 use cafc::obs::json::Value;
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig};
+use cafc::{cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, Obs};
 use cafc_bench::{print_header, quality, Bench};
 use cafc_cluster::mean_silhouette;
 use rand::rngs::StdRng;
@@ -46,7 +46,15 @@ fn main() {
     for k in 2..=16 {
         let config = CafcChConfig::paper_default(k);
         let mut rng = StdRng::seed_from_u64(0xC0);
-        let out = cafc_ch(&bench.web.graph, &bench.targets, &space, &config, &mut rng);
+        let out = cafc_ch(
+            &bench.web.graph,
+            &bench.targets,
+            &space,
+            &config,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         // A degenerate partition (undefined silhouette) ranks below every
         // real score.
         let sil = mean_silhouette(&space, &out.outcome.partition).unwrap_or(-1.0);

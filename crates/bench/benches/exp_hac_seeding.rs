@@ -5,7 +5,7 @@
 //! little difference in the F-measure values (0.93 versus 0.96), the
 //! entropy is 60 % higher than the one obtained by CAFC-CH."
 
-use cafc::{FeatureConfig, HacOptions, KMeansOptions, Linkage};
+use cafc::{ExecPolicy, FeatureConfig, HacOptions, KMeansOptions, Linkage, Obs};
 use cafc_bench::{print_header, print_row, quality, run_cafc_ch, Bench, K};
 use cafc_cluster::{hac, kmeans};
 
@@ -25,6 +25,8 @@ fn main() {
             target_clusters: K,
             linkage: Linkage::Average,
         },
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     let seeds: Vec<Vec<usize>> = hac_partition
         .clusters()
@@ -32,7 +34,13 @@ fn main() {
         .filter(|c| !c.is_empty())
         .cloned()
         .collect();
-    let out = kmeans(&space, &seeds, &KMeansOptions::default());
+    let out = kmeans(
+        &space,
+        &seeds,
+        &KMeansOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let hac_seeded = quality(&out.partition, &bench.labels);
     print_row("HAC-seeded k-means", &hac_seeded);
 

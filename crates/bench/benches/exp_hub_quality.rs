@@ -10,7 +10,8 @@
 //!    candidate pool to clusters induced by the top-scoring hubs.
 
 use cafc::{
-    cafc_ch, select_hub_clusters, CafcChConfig, FeatureConfig, HubClusterOptions, KMeansOptions,
+    cafc_ch, select_hub_clusters, CafcChConfig, ExecPolicy, FeatureConfig, HubClusterOptions,
+    KMeansOptions, Obs,
 };
 use cafc_bench::{print_header, print_row, quality, Bench, K};
 use cafc_cluster::kmeans;
@@ -36,6 +37,8 @@ fn main() {
         &space,
         &base_cfg,
         &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     let base_q = quality(&base.outcome.partition, &bench.labels);
     print_row("ungated", &base_q);
@@ -45,7 +48,15 @@ fn main() {
     for threshold in [0.05, 0.10, 0.15, 0.20] {
         let cfg = base_cfg.clone().with_min_hub_quality(Some(threshold));
         let mut rng = StdRng::seed_from_u64(0x9B);
-        let out = cafc_ch(&bench.web.graph, &bench.targets, &space, &cfg, &mut rng);
+        let out = cafc_ch(
+            &bench.web.graph,
+            &bench.targets,
+            &space,
+            &cfg,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let q = quality(&out.outcome.partition, &bench.labels);
         print_row(&format!("coherence >= {threshold:.2}"), &q);
         println!("   [{} candidates rejected]", out.quality_rejected);
@@ -76,15 +87,27 @@ fn main() {
         // Greedy selection + k-means over the gated pool.
         let selected = cafc_cluster::greedy_distant_seeds(&space, &candidates, K);
         let seeds: Vec<Vec<usize>> = selected.iter().map(|&i| candidates[i].clone()).collect();
-        let out = kmeans(&space, &seeds, &KMeansOptions::default());
+        let out = kmeans(
+            &space,
+            &seeds,
+            &KMeansOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let q = quality(&out.partition, &bench.labels);
         print_row(&format!("HITS top {:.0}%", keep_frac * 100.0), &q);
         rows.push((format!("hits_{keep_frac}"), q));
     }
 
     // For reference: what select_hub_clusters sees without gating.
-    let (seeds, stats, _) =
-        select_hub_clusters(&bench.web.graph, &bench.targets, &space, &base_cfg);
+    let (seeds, stats, _) = select_hub_clusters(
+        &bench.web.graph,
+        &bench.targets,
+        &space,
+        &base_cfg,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     println!(
         "\n[{} candidate clusters at cardinality >= 8; {} selected as seeds]",
         stats.clusters_after_filter,

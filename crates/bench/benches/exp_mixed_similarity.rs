@@ -10,7 +10,7 @@
 //! without having any weight to tune.
 
 use cafc::baseline::MixedSimilaritySpace;
-use cafc::{cafc_c as kmeans_random, FeatureConfig, KMeansOptions};
+use cafc::{cafc_c, ExecPolicy, FeatureConfig, KMeansOptions, Obs};
 use cafc_bench::{mean_quality, print_header, print_row, quality, run_cafc_ch, Bench, K};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,13 @@ fn main() {
             .map(|run| {
                 let mut rng = StdRng::seed_from_u64(0xA1FA + run);
                 let seeds = cafc_cluster::random_singleton_seeds(&mixed, K, &mut rng);
-                let out = cafc_cluster::kmeans(&mixed, &seeds, &KMeansOptions::default());
+                let out = cafc_cluster::kmeans(
+                    &mixed,
+                    &seeds,
+                    &KMeansOptions::default(),
+                    ExecPolicy::Serial,
+                    &Obs::disabled(),
+                );
                 quality(&out.partition, &bench.labels)
             })
             .collect();
@@ -41,7 +47,14 @@ fn main() {
 
     // Reference points: pure-text CAFC-C and CAFC-CH.
     let mut rng = StdRng::seed_from_u64(0xA1FA);
-    let c = kmeans_random(&text, K, &KMeansOptions::default(), &mut rng);
+    let c = cafc_c(
+        &text,
+        K,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let c_q = quality(&c.partition, &bench.labels);
     print_row("CAFC-C (one run)", &c_q);
     let (ch, _) = run_cafc_ch(&bench, &text, 8, 0xA1FA);

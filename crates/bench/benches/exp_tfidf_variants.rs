@@ -5,7 +5,10 @@
 //! max-norm) and IDF schemes (plain, smooth, probabilistic, none) under
 //! CAFC-CH FC+PC, keeping everything else fixed.
 
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, IdfScheme, ModelOptions, TfScheme};
+use cafc::{
+    ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IdfScheme, ModelOptions, Obs,
+    TfScheme,
+};
 use cafc_bench::{print_header, print_row, run_cafc_ch, Bench};
 
 fn main() {
@@ -35,6 +38,9 @@ fn main() {
                 &bench.web.graph,
                 &bench.targets,
                 &ModelOptions::new().with_tf(tf).with_idf(idf),
+                false,
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
             let (q, _) = run_cafc_ch(&bench, &space, 8, 0x7F1D);

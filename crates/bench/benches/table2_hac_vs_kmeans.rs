@@ -5,7 +5,10 @@
 //! local merge decisions whose early mistakes persist through the
 //! agglomeration, even from high-quality hub seeds.
 
-use cafc::{select_hub_clusters, CafcChConfig, FeatureConfig, HacOptions, KMeansOptions, Linkage};
+use cafc::{
+    select_hub_clusters, CafcChConfig, ExecPolicy, FeatureConfig, HacOptions, KMeansOptions,
+    Linkage, Obs,
+};
 use cafc_bench::{disjoint_seeds, print_header, print_row, quality, run_cafc_c_avg, Bench, K};
 use cafc_cluster::hac;
 
@@ -28,17 +31,30 @@ fn main() {
         target_clusters: K,
         linkage: Linkage::Average,
     };
-    let p = hac(&space, &[], &hac_opts);
+    let p = hac(&space, &[], &hac_opts, ExecPolicy::Serial, &Obs::disabled());
     let c_hac = quality(&p, &bench.labels);
     print_row("CAFC-C  (HAC)", &c_hac);
     rows.push(("CAFC-C HAC".into(), c_hac));
 
     // Shared hub seeds (Algorithm 3, min cardinality 8).
     let config = CafcChConfig::paper_default(K);
-    let (seeds, _, _) = select_hub_clusters(&bench.web.graph, &bench.targets, &space, &config);
+    let (seeds, _, _) = select_hub_clusters(
+        &bench.web.graph,
+        &bench.targets,
+        &space,
+        &config,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     // CAFC-CH (k-means from hub seeds).
-    let out = cafc_cluster::kmeans(&space, &seeds, &KMeansOptions::default());
+    let out = cafc_cluster::kmeans(
+        &space,
+        &seeds,
+        &KMeansOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let ch_kmeans = quality(&out.partition, &bench.labels);
     print_row("CAFC-CH (k-means)", &ch_kmeans);
     rows.push(("CAFC-CH k-means".into(), ch_kmeans));
@@ -46,7 +62,13 @@ fn main() {
     // CAFC-CH (HAC started from the hub clusters). HAC needs a disjoint
     // starting partition; overlapping seed members keep their first home.
     let initial = disjoint_seeds(&seeds);
-    let p = hac(&space, &initial, &hac_opts);
+    let p = hac(
+        &space,
+        &initial,
+        &hac_opts,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let ch_hac = quality(&p, &bench.labels);
     print_row("CAFC-CH (HAC)", &ch_hac);
     rows.push(("CAFC-CH HAC".into(), ch_hac));

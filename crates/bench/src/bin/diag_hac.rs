@@ -1,6 +1,8 @@
 //! Diagnostic: HAC linkage × seeding grid for Table 2 calibration.
 
-use cafc::{select_hub_clusters, CafcChConfig, FeatureConfig, HacOptions, Linkage};
+use cafc::{
+    select_hub_clusters, CafcChConfig, ExecPolicy, FeatureConfig, HacOptions, Linkage, Obs,
+};
 use cafc_bench::{disjoint_seeds, quality, Bench, K};
 use cafc_cluster::hac;
 
@@ -12,6 +14,8 @@ fn main() {
         &bench.targets,
         &space,
         &CafcChConfig::paper_default(K),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     let initial = disjoint_seeds(&seeds);
     // Alternative: seed with ALL surviving hub clusters, not just the k
@@ -32,9 +36,11 @@ fn main() {
             target_clusters: K,
             linkage,
         };
-        let plain = quality(&hac(&space, &[], &opts), &bench.labels);
-        let seeded = quality(&hac(&space, &initial, &opts), &bench.labels);
-        let seeded_all = quality(&hac(&space, &initial_all, &opts), &bench.labels);
+        let run = |initial: &[Vec<usize>]| {
+            let partition = hac(&space, initial, &opts, ExecPolicy::Serial, &Obs::disabled());
+            quality(&partition, &bench.labels)
+        };
+        let (plain, seeded, seeded_all) = (run(&[]), run(&initial), run(&initial_all));
         println!(
             "{linkage:?}: unseeded ({:.3}, {:.3}) | 8-seeds ({:.3}, {:.3}) | all-hubs ({:.3}, {:.3})",
             plain.entropy,

@@ -1,6 +1,6 @@
 //! Diagnostic: domain composition of the hub clusters Algorithm 3 selects.
 
-use cafc::{select_hub_clusters, CafcChConfig, FeatureConfig};
+use cafc::{select_hub_clusters, CafcChConfig, ExecPolicy, FeatureConfig, Obs};
 use cafc_bench::Bench;
 use cafc_corpus::Domain;
 use cafc_webgraph::HubClusterOptions;
@@ -13,7 +13,14 @@ fn main() {
             min_cardinality: min_card,
             ..Default::default()
         });
-        let (seeds, _, _) = select_hub_clusters(&bench.web.graph, &bench.targets, &space, &config);
+        let (seeds, _, _) = select_hub_clusters(
+            &bench.web.graph,
+            &bench.targets,
+            &space,
+            &config,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         println!("min_card {min_card}: {} seeds", seeds.len());
         for (i, seed) in seeds.iter().enumerate() {
             let mut counts = vec![0usize; 8];

@@ -4,7 +4,7 @@
 //! EXPERIMENTS.md ("Execution layer: serial vs parallel wall-clock").
 
 use cafc::obs::json::Value;
-use cafc::{cafc_ch_exec, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace};
+use cafc::{cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, Obs};
 use cafc::{ModelOptions, Partition};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_webgraph::PageId;
@@ -52,16 +52,24 @@ fn corpus_config(pages: usize) -> CorpusConfig {
 
 fn run(graph: &WebGraph, targets: &[PageId], policy: ExecPolicy) -> (Duration, Partition) {
     let start = Instant::now();
-    let corpus = FormPageCorpus::from_graph_exec(graph, targets, &ModelOptions::default(), policy);
+    let corpus = FormPageCorpus::from_graph(
+        graph,
+        targets,
+        &ModelOptions::default(),
+        false,
+        policy,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(SEED);
-    let out = cafc_ch_exec(
+    let out = cafc_ch(
         graph,
         targets,
         &space,
         &CafcChConfig::paper_default(K),
         &mut rng,
         policy,
+        &Obs::disabled(),
     );
     (start.elapsed(), out.outcome.partition)
 }

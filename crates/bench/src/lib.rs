@@ -10,8 +10,8 @@
 
 use cafc::obs::json::Value;
 use cafc::{
-    cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, KMeansOptions,
-    LocationWeights, ModelOptions, Partition,
+    cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    KMeansOptions, LocationWeights, ModelOptions, Obs, Partition,
 };
 use cafc_corpus::{generate, CorpusConfig, Domain, SyntheticWeb};
 use cafc_eval::EntropyBase;
@@ -52,14 +52,16 @@ impl Bench {
         let web = generate(config);
         let targets = web.form_page_ids();
         let labels = web.labels();
-        let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
-        let corpus_uniform = FormPageCorpus::from_graph(
-            &web.graph,
-            &targets,
-            &ModelOptions::new().with_weights(LocationWeights::uniform()),
+        let build = |opts: ModelOptions, anchors| {
+            let (policy, obs) = (ExecPolicy::Serial, &Obs::disabled());
+            FormPageCorpus::from_graph(&web.graph, &targets, &opts, anchors, policy, obs)
+        };
+        let corpus = build(ModelOptions::default(), false);
+        let corpus_uniform = build(
+            ModelOptions::new().with_weights(LocationWeights::uniform()),
+            false,
         );
-        let corpus_anchors =
-            FormPageCorpus::from_graph_with_anchors(&web.graph, &targets, &ModelOptions::default());
+        let corpus_anchors = build(ModelOptions::default(), true);
         Bench {
             web,
             targets,
@@ -127,7 +129,14 @@ pub fn run_cafc_c_avg(space: &FormPageSpace<'_>, labels: &[Domain], base_seed: u
     let qs: Vec<Quality> = (0..CAFC_C_RUNS)
         .map(|run| {
             let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(run));
-            let out = cafc_c(space, K, &KMeansOptions::default(), &mut rng);
+            let out = cafc_c(
+                space,
+                K,
+                &KMeansOptions::default(),
+                &mut rng,
+                ExecPolicy::Serial,
+                &Obs::disabled(),
+            );
             quality(&out.partition, labels)
         })
         .collect();
@@ -137,7 +146,15 @@ pub fn run_cafc_c_avg(space: &FormPageSpace<'_>, labels: &[Domain], base_seed: u
 /// One CAFC-C run (for callers that need the partition itself).
 pub fn run_cafc_c_once(space: &FormPageSpace<'_>, seed: u64) -> Partition {
     let mut rng = StdRng::seed_from_u64(seed);
-    cafc_c(space, K, &KMeansOptions::default(), &mut rng).partition
+    cafc_c(
+        space,
+        K,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    )
+    .partition
 }
 
 /// CAFC-CH with the given minimum hub-cluster cardinality.
@@ -152,7 +169,15 @@ pub fn run_cafc_ch(
         ..HubClusterOptions::default()
     });
     let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = cafc_ch(&bench.web.graph, &bench.targets, space, &config, &mut rng);
+    let outcome = cafc_ch(
+        &bench.web.graph,
+        &bench.targets,
+        space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     (quality(&outcome.outcome.partition, &bench.labels), outcome)
 }
 

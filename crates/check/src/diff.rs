@@ -2,7 +2,7 @@
 //! verdict.
 //!
 //! The repo carries several pairs of code paths that are contractually
-//! equivalent — the `Pipeline` front door vs the legacy free functions,
+//! equivalent — the `Pipeline` front door vs the free functions it wires,
 //! `ExecPolicy::Serial` vs `Parallel { k }`, metrics-on vs metrics-off —
 //! plus accounting identities that must survive arbitrary input
 //! (`ok + degraded + quarantined == total`). [`check_equiv`] pins such a

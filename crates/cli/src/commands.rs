@@ -4,13 +4,13 @@ use crate::args::Args;
 use crate::table::render_kv_table;
 use cafc::obs::json::{self, Value};
 use cafc::{
-    cafc_c_obs, cafc_ch_obs, run_bench as cafc_run_bench, BenchConfig, CafcChConfig, ExecPolicy,
+    cafc_c, cafc_ch, run_bench as cafc_run_bench, BenchConfig, CafcChConfig, ExecPolicy,
     FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions, IngestLimits, IngestReport,
     KMeansOptions, ModelOptions, Obs, Partition, SearchAlgorithm, SearchConfig, SearchIndex,
     SearchPipeline, StreamConfig, StreamCorpus,
 };
 use cafc_cluster::{
-    bisecting_kmeans_obs, choose_k, hac_obs, hac_resumable, kmeans_obs, kmeans_resumable,
+    bisecting_kmeans, choose_k, hac, hac_resumable, kmeans, kmeans_resumable,
     random_singleton_seeds, BisectOptions, HacOptions, Linkage,
 };
 use cafc_corpus::{
@@ -18,8 +18,8 @@ use cafc_corpus::{
     CorpusConfig, LoadedWeb, Mutation, ShardedCorpusConfig, SyntheticWeb,
 };
 use cafc_crawler::{
-    crawl as crawl_bfs, crawl_resilient_obs, crawl_resumable, BreakerConfig, ChaosFetcher,
-    CrawlConfig, FaultConfig, ResilientConfig, ResilientCrawlOutcome, RetryPolicy,
+    crawl as crawl_bfs, crawl_resilient, crawl_resumable, BreakerConfig, ChaosFetcher, CrawlConfig,
+    FaultConfig, ResilientConfig, ResilientCrawlOutcome, RetryPolicy,
 };
 use cafc_explore::{html_report, ClusterIndex};
 use cafc_serve::{loadgen, LoadgenConfig, ServeOptions, Server, SharedIndex};
@@ -141,8 +141,14 @@ fn prepare(input: &str, policy: ExecPolicy, obs: &Obs) -> Result<Prepared, Strin
             "{input} contains no form pages (manifest kind=\"form\")"
         ));
     }
-    let corpus =
-        FormPageCorpus::from_graph_obs(&web.graph, &targets, &ModelOptions::default(), policy, obs);
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        policy,
+        obs,
+    );
     Ok(Prepared {
         web,
         targets,
@@ -185,7 +191,7 @@ fn run_clustering(
         let (k, partition, scores) = choose_k(&space, 2..=16, |k| {
             let mut rng = StdRng::seed_from_u64(seed);
             let seeds = random_singleton_seeds(&space, k, &mut rng);
-            kmeans_obs(&space, &seeds, &KMeansOptions::default(), policy, obs).partition
+            kmeans(&space, &seeds, &KMeansOptions::default(), policy, obs).partition
         })
         .ok_or("no valid k in 2..=16 for this corpus")?;
         println!("auto-k: chose k = {k} (silhouette sweep: {scores:?})");
@@ -219,7 +225,7 @@ fn run_clustering(
                 min_cardinality: args.get_usize("min-cardinality", 8)?,
                 ..HubClusterOptions::default()
             });
-            let out = cafc_ch_obs(
+            let out = cafc_ch(
                 &prepared.web.graph,
                 &prepared.targets,
                 &space,
@@ -235,11 +241,9 @@ fn run_clustering(
             out.outcome.partition
         }
         "cafc-c" => match &ckpt {
-            None => {
-                cafc_c_obs(&space, k, &KMeansOptions::default(), &mut rng, policy, obs).partition
-            }
+            None => cafc_c(&space, k, &KMeansOptions::default(), &mut rng, policy, obs).partition,
             Some(opts) => {
-                // Exactly `cafc_c_obs` (random singleton seeds, then the
+                // Exactly `cafc_c` (random singleton seeds, then the
                 // paper's k-means) with the iteration loop journaled, so a
                 // resumed run is bit-identical to an uncheckpointed one.
                 let mut store = open_store(opts, obs)?;
@@ -263,7 +267,7 @@ fn run_clustering(
                 linkage: Linkage::Average,
             };
             match &ckpt {
-                None => hac_obs(&space, &[], &hac_opts, policy, obs),
+                None => hac(&space, &[], &hac_opts, policy, obs),
                 Some(opts) => {
                     let mut store = open_store(opts, obs)?;
                     hac_resumable(&space, &[], &hac_opts, policy, obs, &mut store, opts.resume)
@@ -271,7 +275,7 @@ fn run_clustering(
                 }
             }
         }
-        "bisect" => bisecting_kmeans_obs(
+        "bisect" => bisecting_kmeans(
             &space,
             &BisectOptions {
                 target_clusters: k,
@@ -543,15 +547,16 @@ pub fn daemon(args: &Args) -> Result<(), String> {
     // Warm start: batch-build and cluster the first pages conventionally,
     // so streaming begins against meaningful centroids.
     let model_opts = ModelOptions::default();
-    let corpus = FormPageCorpus::from_html_exec(
+    let corpus = FormPageCorpus::from_html(
         form_pages[..warmup].iter().map(|(_, html)| html.as_str()),
         &model_opts,
         policy,
+        &Obs::disabled(),
     );
     let partition = {
         let space = FormPageSpace::new(&corpus, features);
         let mut rng = StdRng::seed_from_u64(seed);
-        cafc_c_obs(&space, k, &KMeansOptions::default(), &mut rng, policy, &obs).partition
+        cafc_c(&space, k, &KMeansOptions::default(), &mut rng, policy, &obs).partition
     };
     let stream_config = StreamConfig::new()
         .with_feature(features)
@@ -802,10 +807,11 @@ fn cluster_survivors(
         return None;
     }
     let k = k.clamp(1, survivors.len());
-    let corpus = FormPageCorpus::from_graph_obs(
+    let corpus = FormPageCorpus::from_graph(
         &web.graph,
         survivors,
         &ModelOptions::default(),
+        false,
         policy,
         obs,
     );
@@ -815,7 +821,7 @@ fn cluster_survivors(
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch_obs(
+    let result = cafc_ch(
         &web.graph, survivors, &space, &config, &mut rng, policy, obs,
     );
     let labels: Vec<&str> = survivors
@@ -843,7 +849,7 @@ fn run_faulty(
     obs: &Obs,
 ) -> ResilientCrawlOutcome {
     let mut fetcher = ChaosFetcher::over_graph(&web.graph, *fault);
-    crawl_resilient_obs(&web.graph, &mut fetcher, web.portal, config, obs)
+    crawl_resilient(&web.graph, &mut fetcher, web.portal, config, obs)
 }
 
 /// `cafc crawl` — crawl a synthetic corpus under injected faults, cluster
@@ -1068,7 +1074,7 @@ fn cluster_ingested(
     let space = FormPageSpace::new(corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(seed);
     let seeds = random_singleton_seeds(&space, k, &mut rng);
-    let outcome = kmeans_obs(&space, &seeds, &KMeansOptions::default(), policy, obs);
+    let outcome = kmeans(&space, &seeds, &KMeansOptions::default(), policy, obs);
     let clusters = outcome.partition.clusters();
     Some(SurvivorQuality {
         entropy: cafc_eval::entropy(clusters, &kept_labels, cafc_eval::EntropyBase::Two),
@@ -1126,14 +1132,9 @@ pub fn torture(args: &Args) -> Result<(), String> {
     // Only the mutated run is instrumented: the metrics describe the
     // torture ingestion, not the clean baseline it is compared against.
     let (clean_corpus, clean_report) =
-        FormPageCorpus::from_html_ingest_exec(htmls.iter().copied(), &opts, &limits, policy);
-    let (torture_corpus, report) = FormPageCorpus::from_html_ingest_obs(
-        mutated.iter().map(String::as_str),
-        &opts,
-        &limits,
-        policy,
-        &obs,
-    );
+        FormPageCorpus::from_shards([&htmls], &opts, &limits, policy, &Obs::disabled());
+    let (torture_corpus, report) =
+        FormPageCorpus::from_shards([&mutated], &opts, &limits, policy, &obs);
 
     println!();
     print!(
@@ -1217,11 +1218,17 @@ fn timed_run(
     obs: &Obs,
 ) -> (std::time::Duration, Partition) {
     let start = std::time::Instant::now();
-    let corpus =
-        FormPageCorpus::from_graph_obs(&web.graph, targets, &ModelOptions::default(), policy, obs);
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        targets,
+        &ModelOptions::default(),
+        false,
+        policy,
+        obs,
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(seed);
-    let out = cafc_ch_obs(
+    let out = cafc_ch(
         &web.graph,
         targets,
         &space,
@@ -1558,10 +1565,11 @@ pub fn crash_test(args: &Args) -> Result<(), String> {
     // `--seed` so a CI failure is replayable from the printed seed alone.
     let web = generate_web(&CorpusConfig::small(seed));
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph_obs(
+    let corpus = FormPageCorpus::from_graph(
         &web.graph,
         &targets,
         &ModelOptions::default(),
+        false,
         policy,
         &Obs::disabled(),
     );

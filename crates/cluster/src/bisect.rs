@@ -7,7 +7,7 @@
 //! k-means with random seeds, and a natural extra baseline next to the
 //! paper's Table 2.
 
-use crate::kmeans::{kmeans_obs, KMeansOptions};
+use crate::kmeans::{kmeans, KMeansOptions};
 use crate::partition::Partition;
 use crate::space::ClusterSpace;
 use cafc_exec::{par_reduce, ExecPolicy};
@@ -65,47 +65,18 @@ where
 }
 
 /// Run bisecting k-means over all items of `space`.
-pub fn bisecting_kmeans<S, R>(space: &S, opts: &BisectOptions, rng: &mut R) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-    R: Rng,
-{
-    bisecting_kmeans_exec(space, opts, rng, ExecPolicy::Serial)
-}
-
-/// Run bisecting k-means under an explicit execution policy.
 ///
-/// Identical semantics (and, for a fixed RNG seed, bit-identical output)
-/// to [`bisecting_kmeans`], which delegates here with
-/// [`ExecPolicy::Serial`]: the inner 2-means runs and the cohesion scoring
-/// parallelize, while the RNG draws stay on the calling thread in a fixed
-/// order.
-pub fn bisecting_kmeans_exec<S, R>(
-    space: &S,
-    opts: &BisectOptions,
-    rng: &mut R,
-    policy: ExecPolicy,
-) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-    R: Rng,
-{
-    bisecting_kmeans_obs(space, opts, rng, policy, &Obs::disabled())
-}
-
-/// Run bisecting k-means under an explicit execution policy with
-/// instrumentation.
+/// The inner 2-means runs and the cohesion scoring parallelize under
+/// `policy`, while the RNG draws stay on the calling thread in a fixed
+/// order, so for a fixed RNG seed the output is bit-identical for every
+/// policy.
 ///
-/// Identical semantics (and, for a fixed RNG seed, bit-identical output)
-/// to [`bisecting_kmeans_exec`], which delegates here with
-/// [`Obs::disabled`]. Emits, when `obs` has a sink: counters
-/// `bisect.splits` / `bisect.trials` / `bisect.degenerate_splits`, a
-/// `bisect.split` span per bisection (orchestrating thread; the inner
-/// 2-means runs nest their `kmeans.*` spans underneath), and the inner
-/// runs' `kmeans.*` metrics.
-pub fn bisecting_kmeans_obs<S, R>(
+/// Emits, when `obs` has a sink: counters `bisect.splits` /
+/// `bisect.trials` / `bisect.degenerate_splits`, a `bisect.split` span per
+/// bisection (orchestrating thread; the inner 2-means runs nest their
+/// `kmeans.*` spans underneath), and the inner runs' `kmeans.*` metrics.
+/// The output is the same with or without a sink.
+pub fn bisecting_kmeans<S, R>(
     space: &S,
     opts: &BisectOptions,
     rng: &mut R,
@@ -148,7 +119,7 @@ where
                 space,
                 items: &victim,
             };
-            let out = kmeans_obs(&sub, &seeds, &opts.kmeans, policy, obs);
+            let out = kmeans(&sub, &seeds, &opts.kmeans, policy, obs);
             let halves = out.partition.clusters();
             let a: Vec<usize> = halves[0].iter().map(|&i| victim[i]).collect();
             let b: Vec<usize> = halves
@@ -239,14 +210,20 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(42);
-        let baseline = bisecting_kmeans_exec(&space, &opts, &mut rng, ExecPolicy::Serial);
+        let baseline = bisecting_kmeans(
+            &space,
+            &opts,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
             let mut rng = StdRng::seed_from_u64(42);
-            let p = bisecting_kmeans_exec(&space, &opts, &mut rng, policy);
+            let p = bisecting_kmeans(&space, &opts, &mut rng, policy, &Obs::disabled());
             assert_eq!(p, baseline, "{policy:?}");
         }
     }
@@ -262,6 +239,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(p.num_clusters(), 3);
         let mut sorted: Vec<Vec<usize>> = p
@@ -288,6 +267,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(p.num_clusters(), 1);
         assert_eq!(p.num_assigned(), 6);
@@ -304,6 +285,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(p.num_clusters(), 2);
     }
@@ -319,6 +302,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(p.num_clusters(), 3);
         assert_eq!(p.num_assigned(), 6);
@@ -328,7 +313,13 @@ mod tests {
     fn empty_space() {
         let space = DenseSpace::new(vec![]);
         let mut rng = StdRng::seed_from_u64(5);
-        let p = bisecting_kmeans(&space, &BisectOptions::default(), &mut rng);
+        let p = bisecting_kmeans(
+            &space,
+            &BisectOptions::default(),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(p.num_assigned(), 0);
     }
 
@@ -343,6 +334,8 @@ mod tests {
                 ..Default::default()
             },
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         let mut all: Vec<usize> = p.clusters().iter().flatten().copied().collect();
         all.sort_unstable();

@@ -51,47 +51,22 @@ impl Default for HacOptions {
 
 /// Run HAC down to `opts.target_clusters` clusters.
 ///
-/// `initial` is the starting partition: pass one singleton per item for
-/// classic HAC, or hub clusters plus singletons for the seeded variant.
-/// Items absent from `initial` are added as singletons automatically.
-pub fn hac<S>(space: &S, initial: &[Vec<usize>], opts: &HacOptions) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac_exec(space, initial, opts, ExecPolicy::Serial)
-}
-
-/// Run HAC under an explicit execution policy.
+/// `initial` is the starting partition: pass `&[]` (or one singleton per
+/// item) for classic HAC, or hub clusters plus singletons for the seeded
+/// variant. Items absent from `initial` are added as singletons
+/// automatically.
 ///
-/// Identical semantics (and bit-identical output) to [`hac`], which
-/// delegates here with [`ExecPolicy::Serial`]. The O(g²) pairwise distance
-/// matrix and the per-step closest-pair scans fan out by matrix row;
-/// per-row partial argmins are merged in row order, so ties resolve to the
-/// lexicographically smallest pair for every policy — exactly the serial
-/// scan order.
-pub fn hac_exec<S>(
-    space: &S,
-    initial: &[Vec<usize>],
-    opts: &HacOptions,
-    policy: ExecPolicy,
-) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac_obs(space, initial, opts, policy, &Obs::disabled())
-}
-
-/// Run HAC under an explicit execution policy with instrumentation.
+/// The O(g²) pairwise distance matrix and the per-step closest-pair scans
+/// fan out by matrix row under `policy`; per-row partial argmins are merged
+/// in row order, so ties resolve to the lexicographically smallest pair
+/// for every policy — exactly the serial scan order.
 ///
-/// Identical semantics (and bit-identical output) to [`hac_exec`], which
-/// delegates here with [`Obs::disabled`]. Emits, when `obs` has a sink:
-/// counter `hac.merges` (one per merge step), gauges `hac.initial_groups`
-/// / `hac.final_groups`, and a `hac.merge_scan` span aggregating the
-/// closest-pair scans (plus `hac.dissimilarity_matrix` for the pairwise
-/// linkages' O(g²) initialization).
-pub fn hac_obs<S>(
+/// Emits, when `obs` has a sink: counter `hac.merges` (one per merge
+/// step), gauges `hac.initial_groups` / `hac.final_groups`, and a
+/// `hac.merge_scan` span aggregating the closest-pair scans (plus
+/// `hac.dissimilarity_matrix` for the pairwise linkages' O(g²)
+/// initialization). The output is the same with or without a sink.
+pub fn hac<S>(
     space: &S,
     initial: &[Vec<usize>],
     opts: &HacOptions,
@@ -378,15 +353,6 @@ fn group_distance<S: ClusterSpace>(space: &S, a: &[usize], b: &[usize], linkage:
     }
 }
 
-/// Convenience: classic HAC from singletons.
-pub fn hac_from_singletons<S>(space: &S, opts: &HacOptions) -> Partition
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    hac(space, &[], opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,12 +392,15 @@ mod tests {
             Linkage::Average,
             Linkage::Centroid,
         ] {
-            let p = hac_from_singletons(
+            let p = hac(
                 &space,
+                &[],
                 &HacOptions {
                     target_clusters: 2,
                     linkage,
                 },
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             assert_eq!(
                 sorted(&p),
@@ -445,12 +414,15 @@ mod tests {
     fn respects_target_cluster_count() {
         let space = blobs();
         for target in 1..=6 {
-            let p = hac_from_singletons(
+            let p = hac(
                 &space,
+                &[],
                 &HacOptions {
                     target_clusters: target,
                     linkage: Linkage::Average,
                 },
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             assert_eq!(p.num_clusters(), target);
             assert_eq!(p.num_assigned(), 6);
@@ -468,6 +440,8 @@ mod tests {
                 target_clusters: 2,
                 linkage: Linkage::Centroid,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         let cs = sorted(&p);
         assert_eq!(cs, vec![vec![0, 1, 2], vec![3, 4, 5]]);
@@ -484,6 +458,8 @@ mod tests {
                 target_clusters: 4,
                 linkage: Linkage::Average,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         // Only 2 groups supplied and target is 4 -> returned unchanged plus
         // nothing (all items covered).
@@ -500,6 +476,8 @@ mod tests {
                 target_clusters: 2,
                 linkage: Linkage::Average,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(p.num_assigned(), 6);
         assert_eq!(p.num_clusters(), 2);
@@ -513,8 +491,8 @@ mod tests {
             linkage: Linkage::Average,
         };
         assert_eq!(
-            hac_from_singletons(&space, &o),
-            hac_from_singletons(&space, &o)
+            hac(&space, &[], &o, ExecPolicy::Serial, &Obs::disabled()),
+            hac(&space, &[], &o, ExecPolicy::Serial, &Obs::disabled())
         );
     }
 
@@ -531,14 +509,14 @@ mod tests {
                 target_clusters: 2,
                 linkage,
             };
-            let baseline = hac_exec(&space, &[], &o, ExecPolicy::Serial);
+            let baseline = hac(&space, &[], &o, ExecPolicy::Serial, &Obs::disabled());
             for policy in [
                 ExecPolicy::Parallel { threads: 1 },
                 ExecPolicy::Parallel { threads: 7 },
                 ExecPolicy::Auto,
             ] {
                 assert_eq!(
-                    hac_exec(&space, &[], &o, policy),
+                    hac(&space, &[], &o, policy, &Obs::disabled()),
                     baseline,
                     "{linkage:?} under {policy:?}"
                 );
@@ -557,12 +535,15 @@ mod tests {
             vec![3.0],
             vec![100.0],
         ]);
-        let p = hac_from_singletons(
+        let p = hac(
             &space,
+            &[],
             &HacOptions {
                 target_clusters: 2,
                 linkage: Linkage::Single,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(sorted(&p), vec![vec![0, 1, 2, 3], vec![4]]);
     }

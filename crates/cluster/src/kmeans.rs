@@ -92,45 +92,19 @@ pub struct KMeansOutcome {
 /// corpora routinely produce them — see DESIGN.md §8): empty seed clusters
 /// are dropped, and when no usable seed remains the result is a single
 /// cluster holding every item (empty for an empty space).
-pub fn kmeans<S>(space: &S, seeds: &[Vec<usize>], opts: &KMeansOptions) -> KMeansOutcome
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_exec(space, seeds, opts, ExecPolicy::Serial)
-}
-
-/// Run k-means from the given seed clusters under an explicit execution
-/// policy.
 ///
-/// Identical semantics to [`kmeans`] (which delegates here with
-/// [`ExecPolicy::Serial`]); the assignment step and the per-cluster
-/// centroid rebuild fan out across threads. Results are bit-identical for
-/// every policy: assignments are an order-preserving [`par_map`] and the
-/// centroid of each cluster is computed by one closure regardless of the
-/// thread count.
-pub fn kmeans_exec<S>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    policy: ExecPolicy,
-) -> KMeansOutcome
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_obs(space, seeds, opts, policy, &Obs::disabled())
-}
-
-/// Run k-means under an explicit execution policy with instrumentation.
+/// The assignment step and the per-cluster centroid rebuild fan out across
+/// threads under `policy`. Results are bit-identical for every policy:
+/// assignments are an order-preserving [`par_map`](cafc_exec::par_map),
+/// and the centroid of each cluster is computed by one closure regardless
+/// of the thread count.
 ///
-/// Identical semantics (and bit-identical output) to [`kmeans_exec`],
-/// which delegates here with [`Obs::disabled`]. Emits, when `obs` has a
-/// sink: spans `kmeans.assign` / `kmeans.update` (orchestrating thread,
-/// aggregated across iterations), counter `kmeans.iterations`, gauge
-/// `kmeans.converged` (0/1), and histogram `kmeans.moved_fraction` (one
-/// observation per iteration over [`FRACTION_BUCKETS`]).
-pub fn kmeans_obs<S>(
+/// Emits, when `obs` has a sink: spans `kmeans.assign` / `kmeans.update`
+/// (orchestrating thread, aggregated across iterations), counter
+/// `kmeans.iterations`, gauge `kmeans.converged` (0/1), and histogram
+/// `kmeans.moved_fraction` (one observation per iteration over
+/// [`FRACTION_BUCKETS`]). The output is the same with or without a sink.
+pub fn kmeans<S>(
     space: &S,
     seeds: &[Vec<usize>],
     opts: &KMeansOptions,
@@ -395,13 +369,25 @@ mod tests {
     #[test]
     fn exec_policies_agree_exactly() {
         let space = blobs();
-        let baseline = kmeans_exec(&space, &[vec![0], vec![3]], &strict(), ExecPolicy::Serial);
+        let baseline = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
-            let out = kmeans_exec(&space, &[vec![0], vec![3]], &strict(), policy);
+            let out = kmeans(
+                &space,
+                &[vec![0], vec![3]],
+                &strict(),
+                policy,
+                &Obs::disabled(),
+            );
             assert_eq!(out.partition, baseline.partition, "{policy:?}");
             assert_eq!(out.iterations, baseline.iterations, "{policy:?}");
         }
@@ -410,7 +396,13 @@ mod tests {
     #[test]
     fn separates_blobs() {
         let space = blobs();
-        let out = kmeans(&space, &[vec![0], vec![3]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(out.converged);
         let clusters = out.partition.clusters();
         assert_eq!(clusters[0], vec![0, 1, 2]);
@@ -422,7 +414,13 @@ mod tests {
         let space = blobs();
         // Both seeds in the left blob; the right blob initially joins the
         // nearer seed, then pulls its centroid across.
-        let out = kmeans(&space, &[vec![0], vec![2]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![2]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let clusters = out.partition.clusters();
         // All six items assigned.
         assert_eq!(out.partition.num_assigned(), 6);
@@ -440,7 +438,13 @@ mod tests {
     #[test]
     fn multi_member_seed_clusters() {
         let space = blobs();
-        let out = kmeans(&space, &[vec![0, 1, 2], vec![3, 4, 5]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![0, 1, 2], vec![3, 4, 5]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         // Iteration 1 assigns everyone (all "move" from unassigned);
         // iteration 2 confirms stability.
         assert_eq!(
@@ -455,7 +459,13 @@ mod tests {
         let space = blobs();
         // 10% of 6 items = 0.6 -> stops as soon as <1 item moves... the
         // first pass moves all 6, so it needs at least 2 iterations.
-        let out = kmeans(&space, &[vec![0], vec![3]], &KMeansOptions::default());
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &KMeansOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(out.converged);
         assert!(out.iterations >= 2);
     }
@@ -463,22 +473,46 @@ mod tests {
     #[test]
     fn k_equals_one() {
         let space = blobs();
-        let out = kmeans(&space, &[vec![0]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![0]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition.clusters()[0].len(), 6);
     }
 
     #[test]
     fn deterministic() {
         let space = blobs();
-        let a = kmeans(&space, &[vec![1], vec![4]], &strict());
-        let b = kmeans(&space, &[vec![1], vec![4]], &strict());
+        let a = kmeans(
+            &space,
+            &[vec![1], vec![4]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
+        let b = kmeans(
+            &space,
+            &[vec![1], vec![4]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(a.partition, b.partition);
     }
 
     #[test]
     fn single_item_space() {
         let space = DenseSpace::new(vec![vec![1.0]]);
-        let out = kmeans(&space, &[vec![0]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![0]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition.clusters(), &[vec![0]]);
         assert!(out.converged);
     }
@@ -486,7 +520,7 @@ mod tests {
     #[test]
     fn no_seeds_falls_back_to_single_cluster() {
         let space = blobs();
-        let out = kmeans(&space, &[], &strict());
+        let out = kmeans(&space, &[], &strict(), ExecPolicy::Serial, &Obs::disabled());
         assert!(out.converged);
         assert_eq!(out.partition.clusters(), &[vec![0, 1, 2, 3, 4, 5]]);
     }
@@ -495,18 +529,30 @@ mod tests {
     fn empty_seed_clusters_are_dropped() {
         let space = blobs();
         // One empty + one usable seed: behaves like k = 1.
-        let out = kmeans(&space, &[vec![], vec![0]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![], vec![0]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition.clusters().len(), 1);
         assert_eq!(out.partition.num_assigned(), 6);
         // All seeds empty: same single-cluster fallback as no seeds at all.
-        let out = kmeans(&space, &[vec![]], &strict());
+        let out = kmeans(
+            &space,
+            &[vec![]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition.clusters(), &[vec![0, 1, 2, 3, 4, 5]]);
     }
 
     #[test]
     fn empty_space_yields_empty_partition() {
         let space = DenseSpace::new(Vec::new());
-        let out = kmeans(&space, &[], &strict());
+        let out = kmeans(&space, &[], &strict(), ExecPolicy::Serial, &Obs::disabled());
         assert!(
             !out.converged,
             "an empty input never met the move criterion"
@@ -520,7 +566,13 @@ mod tests {
         // One pass assigns all 6 items (all "move" from unassigned), so the
         // strict criterion cannot be met within a single iteration.
         let opts = KMeansOptions::strict().with_max_iterations(1);
-        let out = kmeans(&space, &[vec![0], vec![3]], &opts);
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &opts,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.iterations, 1);
         assert!(!out.converged, "cap exit must not claim convergence");
         assert_eq!(out.partition.num_assigned(), 6);
@@ -534,7 +586,13 @@ mod tests {
         let opts = KMeansOptions::new()
             .with_move_fraction_threshold(1.1)
             .with_max_iterations(1);
-        let out = kmeans(&space, &[vec![0], vec![3]], &opts);
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &opts,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(out.converged);
         assert_eq!(out.iterations, 1);
     }
@@ -545,7 +603,13 @@ mod tests {
         // behaves like a cap of 1 and reports the cap exit.
         let space = blobs();
         let opts = KMeansOptions::strict().with_max_iterations(0);
-        let out = kmeans(&space, &[vec![0], vec![3]], &opts);
+        let out = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &opts,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.iterations, 1);
         assert!(!out.converged);
         assert_eq!(out.partition.num_assigned(), 6);
@@ -554,9 +618,15 @@ mod tests {
     #[test]
     fn obs_instrumentation_does_not_perturb_results() {
         let space = blobs();
-        let plain = kmeans_exec(&space, &[vec![0], vec![3]], &strict(), ExecPolicy::Serial);
+        let plain = kmeans(
+            &space,
+            &[vec![0], vec![3]],
+            &strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let obs = cafc_obs::Obs::enabled();
-        let instrumented = kmeans_obs(
+        let instrumented = kmeans(
             &space,
             &[vec![0], vec![3]],
             &strict(),

@@ -34,14 +34,12 @@ pub mod space;
 pub mod sparse;
 pub mod validity;
 
-pub use bisect::{bisecting_kmeans, bisecting_kmeans_exec, bisecting_kmeans_obs, BisectOptions};
+pub use bisect::{bisecting_kmeans, BisectOptions};
 pub use cafc_exec::ExecPolicy;
 pub use cafc_obs::Obs;
-pub use hac::{hac, hac_exec, hac_from_singletons, hac_obs, HacOptions, Linkage};
-pub use kmeans::{kmeans, kmeans_exec, kmeans_obs, nearest_centroid, KMeansOptions, KMeansOutcome};
-pub use minibatch::{
-    kmeans_minibatch, kmeans_minibatch_exec, kmeans_minibatch_obs, MiniBatchOptions,
-};
+pub use hac::{hac, HacOptions, Linkage};
+pub use kmeans::{kmeans, nearest_centroid, KMeansOptions, KMeansOutcome};
+pub use minibatch::{kmeans_minibatch, MiniBatchOptions};
 pub use partition::Partition;
 pub use resume::{hac_resumable, kmeans_resumable};
 pub use seed::{greedy_distant_seeds, kmeanspp_seeds, random_singleton_seeds};

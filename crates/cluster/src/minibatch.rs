@@ -103,45 +103,15 @@ fn batch_indices(n: usize, b: usize, seed: u64, iteration: usize) -> Vec<usize> 
     pool
 }
 
-/// Mini-batch k-means from the given seed clusters (serial execution).
+/// Mini-batch k-means from the given seed clusters.
 ///
 /// Shares the driver loop with [`kmeans`](crate::kmeans::kmeans): the
 /// move fraction is still counted over **all** items (out-of-batch items
 /// never move, so small batches converge on the same threshold scale as
 /// the full algorithm), and centroids are rebuilt from the complete
-/// current assignment each iteration.
+/// current assignment each iteration. Bit-identical under every `policy`,
+/// and emits the same metrics as [`kmeans`](crate::kmeans::kmeans).
 pub fn kmeans_minibatch<S>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    mb: &MiniBatchOptions,
-) -> KMeansOutcome
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_minibatch_exec(space, seeds, opts, mb, ExecPolicy::Serial)
-}
-
-/// [`kmeans_minibatch`] under an explicit execution policy; bit-identical
-/// to every other policy.
-pub fn kmeans_minibatch_exec<S>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    mb: &MiniBatchOptions,
-    policy: ExecPolicy,
-) -> KMeansOutcome
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_minibatch_obs(space, seeds, opts, mb, policy, &Obs::disabled())
-}
-
-/// [`kmeans_minibatch_exec`] with instrumentation (the same metrics as
-/// [`kmeans_obs`](crate::kmeans_obs)).
-pub fn kmeans_minibatch_obs<S>(
     space: &S,
     seeds: &[Vec<usize>],
     opts: &KMeansOptions,
@@ -195,7 +165,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::{kmeans, kmeans_exec};
+    use crate::kmeans::kmeans;
     use crate::space::DenseSpace;
 
     fn blobs(n_per: usize) -> DenseSpace {
@@ -232,9 +202,22 @@ mod tests {
     fn batch_eq_n_matches_full_kmeans_exactly() {
         let space = blobs(20);
         let seeds = [vec![0], vec![25]];
-        let full = kmeans(&space, &seeds, &KMeansOptions::strict());
+        let full = kmeans(
+            &space,
+            &seeds,
+            &KMeansOptions::strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let mb = MiniBatchOptions::new().with_batch_size(space.points().len());
-        let out = kmeans_minibatch(&space, &seeds, &KMeansOptions::strict(), &mb);
+        let out = kmeans_minibatch(
+            &space,
+            &seeds,
+            &KMeansOptions::strict(),
+            &mb,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition, full.partition);
         assert_eq!(out.iterations, full.iterations);
         assert_eq!(out.converged, full.converged);
@@ -245,13 +228,27 @@ mod tests {
         let space = blobs(20);
         let seeds = [vec![0], vec![25]];
         let mb = MiniBatchOptions::new().with_batch_size(8).with_seed(9);
-        let baseline = kmeans_minibatch(&space, &seeds, &KMeansOptions::strict(), &mb);
+        let baseline = kmeans_minibatch(
+            &space,
+            &seeds,
+            &KMeansOptions::strict(),
+            &mb,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
-            let out = kmeans_minibatch_exec(&space, &seeds, &KMeansOptions::strict(), &mb, policy);
+            let out = kmeans_minibatch(
+                &space,
+                &seeds,
+                &KMeansOptions::strict(),
+                &mb,
+                policy,
+                &Obs::disabled(),
+            );
             assert_eq!(out.partition, baseline.partition, "{policy:?}");
             assert_eq!(out.iterations, baseline.iterations, "{policy:?}");
         }
@@ -262,7 +259,14 @@ mod tests {
         let space = blobs(20);
         let seeds = [vec![0], vec![25]];
         let mb = MiniBatchOptions::new().with_batch_size(3).with_seed(1);
-        let out = kmeans_minibatch(&space, &seeds, &KMeansOptions::new(), &mb);
+        let out = kmeans_minibatch(
+            &space,
+            &seeds,
+            &KMeansOptions::new(),
+            &mb,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.partition.num_assigned(), 40);
     }
 
@@ -274,16 +278,26 @@ mod tests {
             &[],
             &KMeansOptions::strict(),
             &MiniBatchOptions::new(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert!(out.partition.clusters().is_empty());
         assert!(!out.converged);
         let space = blobs(3);
-        let reference = kmeans_exec(&space, &[], &KMeansOptions::strict(), ExecPolicy::Serial);
+        let reference = kmeans(
+            &space,
+            &[],
+            &KMeansOptions::strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let out = kmeans_minibatch(
             &space,
             &[],
             &KMeansOptions::strict(),
             &MiniBatchOptions::new(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(out.partition, reference.partition);
     }

@@ -269,7 +269,7 @@ fn hac_fingerprint(n: usize, initial: &[Vec<usize>], opts: &HacOptions) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// [`kmeans_obs`](crate::kmeans_obs) with durable checkpoints: every
+/// [`kmeans`](crate::kmeans()) with durable checkpoints: every
 /// iteration's assignment vector is journaled as it completes, and — when
 /// `resume` is true — journaled iterations replay without recomputing
 /// their O(n·k) similarity pass. A resumed run produces a bit-identical
@@ -301,7 +301,7 @@ where
     kmeans_driver(space, seeds, opts, policy, obs, Some(&mut ckpt))
 }
 
-/// [`hac_obs`](crate::hac_obs) with durable checkpoints: every merge
+/// [`hac`](crate::hac()) with durable checkpoints: every merge
 /// decision is journaled as it is made, and — when `resume` is true —
 /// journaled merges replay without rerunning their closest-pair scans. A
 /// resumed run produces a bit-identical [`Partition`] to an uninterrupted
@@ -361,7 +361,7 @@ mod tests {
         let space = space();
         let seeds = vec![vec![0], vec![6], vec![12]];
         let opts = KMeansOptions::strict();
-        let baseline = kmeans(&space, &seeds, &opts);
+        let baseline = kmeans(&space, &seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
 
         let dir = tmp_dir("kmeans");
         for at in 0..6u64 {
@@ -421,7 +421,7 @@ mod tests {
                 target_clusters: 3,
                 linkage,
             };
-            let baseline = hac(&space, &[], &opts);
+            let baseline = hac(&space, &[], &opts, ExecPolicy::Serial, &Obs::disabled());
             for at in 0..6u64 {
                 let _ = std::fs::remove_dir_all(&dir);
                 let (chaos, _ctl) = ChaosFs::controlled(
@@ -509,7 +509,7 @@ mod tests {
             target_clusters: 3,
             linkage: Linkage::Centroid,
         };
-        let baseline = hac(&space, &[], &opts);
+        let baseline = hac(&space, &[], &opts, ExecPolicy::Serial, &Obs::disabled());
         let dir = tmp_dir("finished");
         let mut store = store_at(&dir);
         hac_resumable(

@@ -1,5 +1,6 @@
 //! The term-key view of a clustering space, and [`kmeans_sparse_exec`],
-//! an alias of [`kmeans_exec`] kept for callers of that name.
+//! a forwarder to [`kmeans`] kept because the repository benchmark
+//! (`crates/benchmark`, frozen with the workload definitions) calls it.
 //!
 //! A [`SparseClusterSpace`] enumerates the term keys of its items and
 //! centroids; probes use it to measure vocabulary overlap between pages
@@ -8,9 +9,10 @@
 //! page shares a term with every centroid, so an inverted term → centroid
 //! index skips nothing (DESIGN.md §17.3).
 
-use crate::kmeans::{kmeans_exec, KMeansOptions, KMeansOutcome};
+use crate::kmeans::{kmeans, KMeansOptions, KMeansOutcome};
 use crate::space::ClusterSpace;
 use cafc_exec::ExecPolicy;
+use cafc_obs::Obs;
 
 /// A [`ClusterSpace`] whose items and centroids are sparse term vectors.
 ///
@@ -26,7 +28,8 @@ pub trait SparseClusterSpace: ClusterSpace {
     fn for_each_centroid_term(&self, centroid: &Self::Centroid, f: &mut dyn FnMut(u64));
 }
 
-/// [`kmeans_exec`] under its former sparse-kernel name.
+/// [`kmeans`] with instrumentation off, under its former sparse-kernel
+/// name: the repository benchmark's batch workload calls it.
 pub fn kmeans_sparse_exec<S>(
     space: &S,
     seeds: &[Vec<usize>],
@@ -37,7 +40,7 @@ where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
 {
-    kmeans_exec(space, seeds, opts, policy)
+    kmeans(space, seeds, opts, policy, &Obs::disabled())
 }
 
 #[cfg(test)]
@@ -144,7 +147,13 @@ mod tests {
     fn sparse_matches_dense_exactly() {
         let s = space();
         let seeds = [vec![0], vec![3], vec![6]];
-        let dense = kmeans_exec(&s, &seeds, &KMeansOptions::strict(), ExecPolicy::Serial);
+        let dense = kmeans(
+            &s,
+            &seeds,
+            &KMeansOptions::strict(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let sparse = serial(&s, &seeds);
         assert_eq!(sparse.partition, dense.partition);
         assert_eq!(sparse.iterations, dense.iterations);

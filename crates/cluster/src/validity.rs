@@ -115,6 +115,8 @@ mod tests {
     use crate::kmeans::{kmeans, KMeansOptions};
     use crate::seed::random_singleton_seeds;
     use crate::space::DenseSpace;
+    use cafc_exec::ExecPolicy;
+    use cafc_obs::Obs;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -202,6 +204,8 @@ mod tests {
                 &KMeansOptions::new()
                     .with_move_fraction_threshold(1e-9)
                     .with_max_iterations(50),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             )
             .partition
         })

@@ -4,7 +4,7 @@
 use cafc_check::corpus::clustering;
 use cafc_check::gen::{f64s, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CheckConfig};
-use cafc_cluster::{greedy_distant_seeds, kmeans, ClusterSpace, DenseSpace, KMeansOptions};
+use cafc_cluster::{greedy_distant_seeds, kmeans, ClusterSpace, DenseSpace, KMeansOptions, Obs};
 
 /// A selection problem: 2-D points, candidate seed clusters over them, and
 /// a requested seed count.
@@ -77,7 +77,7 @@ fn kmeans_yields_valid_partition() {
         let n = points.len();
         let space = DenseSpace::new(points.clone());
         let opts = KMeansOptions::default();
-        let out = kmeans(&space, seeds, &opts);
+        let out = kmeans(&space, seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
         let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
         assigned.sort_unstable();
         require_eq!(assigned, (0..n).collect::<Vec<_>>());
@@ -100,7 +100,13 @@ fn kmeans_degenerate_seeds_fall_back() {
         let n = points.len();
         let space = DenseSpace::new(points.clone());
         let empty_seeds: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
-        let out = kmeans(&space, &empty_seeds, &KMeansOptions::default());
+        let out = kmeans(
+            &space,
+            &empty_seeds,
+            &KMeansOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         require_eq!(out.partition.num_clusters(), 1);
         require_eq!(out.partition.clusters()[0].len(), n);
         Ok(())
@@ -144,8 +150,8 @@ fn greedy_selection_starts_with_a_farthest_pair() {
 // ---------------------------------------------------------------------
 
 use cafc_cluster::{
-    kmeans_exec, kmeans_minibatch, kmeans_sparse_exec, nearest_centroid, ExecPolicy,
-    MiniBatchOptions, Partition, SparseClusterSpace,
+    kmeans_minibatch, kmeans_sparse_exec, nearest_centroid, ExecPolicy, MiniBatchOptions,
+    Partition, SparseClusterSpace,
 };
 
 /// A term-set space: each item is a set of `u64` term keys, an item's
@@ -255,7 +261,7 @@ fn sparse_problem() -> Gen<SparseProblem> {
     })
 }
 
-/// The per-pair reference k-means: Algorithm 1 as `kmeans_exec` runs it
+/// The per-pair reference k-means: Algorithm 1 as `kmeans` runs it
 /// (empty seeds dropped, at least one pass, starved clusters keep their
 /// centroid, the move-fraction stop), with every item assigned by
 /// [`nearest_centroid`] — one `similarity` call per (item, centroid) pair.
@@ -322,7 +328,7 @@ fn sparse_assignment_matches_dense_reference() {
         let (partition, iterations, converged) = reference_kmeans(&space, seeds, &opts);
         for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
             for out in [
-                kmeans_exec(&space, seeds, &opts, policy),
+                kmeans(&space, seeds, &opts, policy, &Obs::disabled()),
                 kmeans_sparse_exec(&space, seeds, &opts, policy),
             ] {
                 require_eq!(out.partition.clusters(), partition.clusters());
@@ -386,7 +392,7 @@ fn assignment_pass_matches_nearest_centroid() {
         let one_pass = KMeansOptions::default().with_max_iterations(1);
         let (partition, _, _) = reference_kmeans(&space, &seeds, &one_pass);
         for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
-            let out = kmeans_exec(&space, &seeds, &one_pass, policy);
+            let out = kmeans(&space, &seeds, &one_pass, policy, &Obs::disabled());
             require_eq!(out.partition.clusters(), partition.clusters());
         }
         Ok(())
@@ -406,11 +412,18 @@ fn minibatch_full_batch_is_exact_kmeans() {
         let n = points.len();
         let space = DenseSpace::new(points.clone());
         let opts = KMeansOptions::default();
-        let full = kmeans(&space, seeds, &opts);
+        let full = kmeans(&space, seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
         let mb = MiniBatchOptions::new()
             .with_batch_size(n)
             .with_seed(*mb_seed as u64);
-        let mini = kmeans_minibatch(&space, seeds, &opts, &mb);
+        let mini = kmeans_minibatch(
+            &space,
+            seeds,
+            &opts,
+            &mb,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         require_eq!(full.partition.clusters(), mini.partition.clusters());
         require_eq!(full.iterations, mini.iterations);
         require_eq!(full.converged, mini.converged);
@@ -430,7 +443,14 @@ fn minibatch_small_batches_keep_partition_valid() {
         let n = points.len();
         let space = DenseSpace::new(points.clone());
         let mb = MiniBatchOptions::new().with_batch_size(2).with_seed(5);
-        let out = kmeans_minibatch(&space, seeds, &KMeansOptions::default(), &mb);
+        let out = kmeans_minibatch(
+            &space,
+            seeds,
+            &KMeansOptions::default(),
+            &mb,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
         assigned.sort_unstable();
         require_eq!(assigned, (0..n).collect::<Vec<_>>());
@@ -444,7 +464,7 @@ fn minibatch_small_batches_keep_partition_valid() {
 // guarantees, over 1-D dense spaces.
 // ---------------------------------------------------------------------
 
-use cafc_cluster::{hac_from_singletons, random_singleton_seeds, HacOptions, Linkage};
+use cafc_cluster::{hac, random_singleton_seeds, HacOptions, Linkage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -466,7 +486,7 @@ fn kmeans_from_random_seeds_terminates_and_partitions() {
         let opts = KMeansOptions::new()
             .with_move_fraction_threshold(1e-12)
             .with_max_iterations(500);
-        let out = kmeans(&space, &seeds, &opts);
+        let out = kmeans(&space, &seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
         require!(out.iterations <= 500, "{} iterations", out.iterations);
         require_eq!(out.partition.num_clusters(), k);
         let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
@@ -490,12 +510,15 @@ fn hac_partitions_everything() {
             Linkage::Average,
             Linkage::Centroid,
         ] {
-            let p = hac_from_singletons(
+            let p = hac(
                 &space,
+                &[],
                 &HacOptions {
                     target_clusters: target,
                     linkage,
                 },
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             require_eq!(p.num_clusters(), target);
             let mut assigned: Vec<usize> = p.clusters().iter().flatten().copied().collect();
@@ -517,12 +540,15 @@ fn hac_respects_separation() {
     check!(CheckConfig::new(), blobs, |(left, right)| {
         let n_left = left.len();
         let points: Vec<Vec<f64>> = left.iter().chain(right).map(|&x| vec![x]).collect();
-        let p = hac_from_singletons(
+        let p = hac(
             &DenseSpace::new(points),
+            &[],
             &HacOptions {
                 target_clusters: 2,
                 linkage: Linkage::Average,
             },
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         for c in p.clusters() {
             let all_left = c.iter().all(|&i| i < n_left);

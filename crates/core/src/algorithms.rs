@@ -2,7 +2,7 @@
 
 use crate::space::FormPageSpace;
 use cafc_cluster::{
-    greedy_distant_seeds, kmeans_obs, random_singleton_seeds, ClusterSpace, KMeansOptions,
+    greedy_distant_seeds, kmeans, random_singleton_seeds, ClusterSpace, KMeansOptions,
     KMeansOutcome,
 };
 use cafc_exec::{par_chunks, ExecPolicy, DEFAULT_CHUNK};
@@ -14,35 +14,11 @@ use rand::Rng;
 /// feature space(s).
 ///
 /// The paper evaluates CAFC-C as the average over 20 runs; callers that
-/// want that behaviour loop over seeds (see `cafc-bench`).
+/// want that behaviour loop over seeds (see `cafc-bench`). For a fixed RNG
+/// seed the output is bit-identical under every `policy` and whether or
+/// not `obs` has a sink: seeding draws stay on the calling thread, and the
+/// loop is [`kmeans()`] with its metrics.
 pub fn cafc_c<R: Rng>(
-    space: &FormPageSpace<'_>,
-    k: usize,
-    kmeans_opts: &KMeansOptions,
-    rng: &mut R,
-) -> KMeansOutcome {
-    cafc_c_exec(space, k, kmeans_opts, rng, ExecPolicy::Serial)
-}
-
-/// Run CAFC-C under an explicit execution policy.
-///
-/// Bit-identical to [`cafc_c`] (which delegates here with
-/// [`ExecPolicy::Serial`]) for a fixed RNG seed: seeding draws stay on the
-/// calling thread and the k-means loop is deterministic per policy.
-pub fn cafc_c_exec<R: Rng>(
-    space: &FormPageSpace<'_>,
-    k: usize,
-    kmeans_opts: &KMeansOptions,
-    rng: &mut R,
-    policy: ExecPolicy,
-) -> KMeansOutcome {
-    cafc_c_obs(space, k, kmeans_opts, rng, policy, &Obs::disabled())
-}
-
-/// Run CAFC-C with instrumentation: seeding plus the observed k-means loop
-/// ([`kmeans_obs`]). Bit-identical to [`cafc_c_exec`] for a fixed RNG seed
-/// whether or not a sink is installed.
-pub fn cafc_c_obs<R: Rng>(
     space: &FormPageSpace<'_>,
     k: usize,
     kmeans_opts: &KMeansOptions,
@@ -51,7 +27,7 @@ pub fn cafc_c_obs<R: Rng>(
     obs: &Obs,
 ) -> KMeansOutcome {
     let seeds = random_singleton_seeds(space, k, rng);
-    kmeans_obs(space, &seeds, kmeans_opts, policy, obs)
+    kmeans(space, &seeds, kmeans_opts, policy, obs)
 }
 
 /// CAFC-CH configuration.
@@ -138,46 +114,16 @@ pub struct CafcChOutcome {
 /// index-for-index with the items of `space`), select the `k` most distant
 /// ones (Algorithm 3), and run k-means from those seeds.
 ///
+/// For a fixed RNG seed the output is bit-identical under every `policy`
+/// and whether or not `obs` has a sink: the hub-quality gate and the
+/// k-means loop parallelize deterministically, and the seed-padding RNG
+/// draws stay on the calling thread in a fixed order. Records the
+/// [`select_hub_clusters`] metrics, counters `seed.hub_seeds` /
+/// `seed.padded_seeds`, and the [`kmeans()`] metrics.
+///
 /// # Panics
 /// Panics if `targets.len() != space.len()`.
 pub fn cafc_ch<R: Rng>(
-    graph: &WebGraph,
-    targets: &[PageId],
-    space: &FormPageSpace<'_>,
-    config: &CafcChConfig,
-    rng: &mut R,
-) -> CafcChOutcome {
-    cafc_ch_exec(graph, targets, space, config, rng, ExecPolicy::Serial)
-}
-
-/// Run CAFC-CH under an explicit execution policy.
-///
-/// Bit-identical to [`cafc_ch`] (which delegates here with
-/// [`ExecPolicy::Serial`]) for a fixed RNG seed: the hub-quality gate and
-/// the k-means loop parallelize deterministically, and the seed-padding
-/// RNG draws stay on the calling thread in a fixed order.
-///
-/// # Panics
-/// Panics if `targets.len() != space.len()`.
-pub fn cafc_ch_exec<R: Rng>(
-    graph: &WebGraph,
-    targets: &[PageId],
-    space: &FormPageSpace<'_>,
-    config: &CafcChConfig,
-    rng: &mut R,
-    policy: ExecPolicy,
-) -> CafcChOutcome {
-    cafc_ch_obs(graph, targets, space, config, rng, policy, &Obs::disabled())
-}
-
-/// Run CAFC-CH with instrumentation: seed selection under the
-/// `seed.select_hub_clusters` span plus the observed k-means loop.
-/// Bit-identical to [`cafc_ch_exec`] for a fixed RNG seed whether or not a
-/// sink is installed.
-///
-/// # Panics
-/// Panics if `targets.len() != space.len()`.
-pub fn cafc_ch_obs<R: Rng>(
     graph: &WebGraph,
     targets: &[PageId],
     space: &FormPageSpace<'_>,
@@ -187,7 +133,7 @@ pub fn cafc_ch_obs<R: Rng>(
     obs: &Obs,
 ) -> CafcChOutcome {
     let (mut seeds, hub_stats, quality_rejected) =
-        select_hub_clusters_obs(graph, targets, space, config, policy, obs);
+        select_hub_clusters(graph, targets, space, config, policy, obs);
     let hub_seeds = seeds.len();
 
     // Degenerate webs can yield fewer than k hub clusters; pad with random
@@ -205,7 +151,7 @@ pub fn cafc_ch_obs<R: Rng>(
     obs.add("seed.hub_seeds", hub_seeds as u64);
     obs.add("seed.padded_seeds", padded_seeds as u64);
 
-    let outcome = kmeans_obs(space, &seeds, &config.kmeans, policy, obs);
+    let outcome = kmeans(space, &seeds, &config.kmeans, policy, obs);
     CafcChOutcome {
         outcome,
         hub_stats,
@@ -221,43 +167,14 @@ pub fn cafc_ch_obs<R: Rng>(
 ///
 /// Returns `(seed clusters, hub stats, quality-gate rejections)`. Exposed
 /// separately from [`cafc_ch`] so alternative clusterers (e.g. the Table-2
-/// HAC variant) can consume the same seeds.
+/// HAC variant) can consume the same seeds. Bit-identical under every
+/// `policy`. The whole step runs under a `seed.select_hub_clusters` span,
+/// and candidate/rejection counts land in `seed.hub_candidates` /
+/// `seed.quality_rejected`.
 ///
 /// # Panics
 /// Panics if `targets.len() != space.len()`.
 pub fn select_hub_clusters(
-    graph: &WebGraph,
-    targets: &[PageId],
-    space: &FormPageSpace<'_>,
-    config: &CafcChConfig,
-) -> (Vec<Vec<usize>>, HubStats, usize) {
-    select_hub_clusters_exec(graph, targets, space, config, ExecPolicy::Serial)
-}
-
-/// `SelectHubClusters` under an explicit execution policy; bit-identical to
-/// [`select_hub_clusters`] (which delegates here with
-/// [`ExecPolicy::Serial`]) for every policy.
-///
-/// # Panics
-/// Panics if `targets.len() != space.len()`.
-pub fn select_hub_clusters_exec(
-    graph: &WebGraph,
-    targets: &[PageId],
-    space: &FormPageSpace<'_>,
-    config: &CafcChConfig,
-    policy: ExecPolicy,
-) -> (Vec<Vec<usize>>, HubStats, usize) {
-    select_hub_clusters_obs(graph, targets, space, config, policy, &Obs::disabled())
-}
-
-/// `SelectHubClusters` with instrumentation: the whole step runs under a
-/// `seed.select_hub_clusters` span, and candidate/rejection counts land in
-/// `seed.hub_candidates` / `seed.quality_rejected`. Bit-identical to
-/// [`select_hub_clusters_exec`] whether or not a sink is installed.
-///
-/// # Panics
-/// Panics if `targets.len() != space.len()`.
-pub fn select_hub_clusters_obs(
     graph: &WebGraph,
     targets: &[PageId],
     space: &FormPageSpace<'_>,
@@ -282,7 +199,7 @@ pub fn select_hub_clusters_obs(
     if let Some(min_q) = config.min_hub_quality {
         let before = candidates.len();
         let scores = cafc_exec::par_map_slice(policy, &candidates, |_, members| {
-            hub_cluster_quality_exec(space, members, ExecPolicy::Serial)
+            hub_cluster_quality(space, members, ExecPolicy::Serial)
         });
         let mut keep = scores.iter().map(|&q| q >= min_q);
         candidates.retain(|_| keep.next().unwrap_or(false));
@@ -298,17 +215,11 @@ pub fn select_hub_clusters_obs(
 
 /// Average pairwise content similarity within a candidate hub cluster
 /// (1.0 for singletons).
-pub fn hub_cluster_quality(space: &FormPageSpace<'_>, members: &[usize]) -> f64 {
-    hub_cluster_quality_exec(space, members, ExecPolicy::Serial)
-}
-
-/// Hub-cluster quality under an explicit execution policy.
 ///
-/// Bit-identical to [`hub_cluster_quality`] (which delegates here with
-/// [`ExecPolicy::Serial`]) for every policy: the upper-triangle pair sum is
+/// Bit-identical under every `policy`: the upper-triangle pair sum is
 /// accumulated per fixed row chunk and the partials are added in chunk
 /// order, so the float accumulation order never depends on thread count.
-pub fn hub_cluster_quality_exec(
+pub fn hub_cluster_quality(
     space: &FormPageSpace<'_>,
     members: &[usize],
     policy: ExecPolicy,
@@ -375,7 +286,14 @@ mod tests {
             g.add_link(hub_j, targets[3 + i]);
         }
         let ids: Vec<PageId> = targets.clone();
-        let corpus = FormPageCorpus::from_graph(&g, &ids, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &ids,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         (g, ids, corpus)
     }
 
@@ -388,7 +306,14 @@ mod tests {
         let (_, _, corpus) = fixture();
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let mut rng = StdRng::seed_from_u64(5);
-        let out = cafc_c(&space, 2, &strict_kmeans(), &mut rng);
+        let out = cafc_c(
+            &space,
+            2,
+            &strict_kmeans(),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let clusters = out.partition.clusters();
         for c in clusters {
             assert!(
@@ -409,7 +334,15 @@ mod tests {
             })
             .with_kmeans(strict_kmeans());
         let mut rng = StdRng::seed_from_u64(6);
-        let out = cafc_ch(&g, &targets, &space, &config, &mut rng);
+        let out = cafc_ch(
+            &g,
+            &targets,
+            &space,
+            &config,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.hub_seeds, 2);
         assert_eq!(out.padded_seeds, 0);
         assert_eq!(out.hub_stats.distinct_clusters, 2);
@@ -434,7 +367,15 @@ mod tests {
             })
             .with_kmeans(strict_kmeans());
         let mut rng = StdRng::seed_from_u64(7);
-        let out = cafc_ch(&g, &targets, &space, &config, &mut rng);
+        let out = cafc_ch(
+            &g,
+            &targets,
+            &space,
+            &config,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(out.hub_seeds, 0);
         assert_eq!(out.padded_seeds, 2);
         assert_eq!(out.outcome.partition.num_clusters(), 2);
@@ -448,7 +389,14 @@ mod tests {
         for &t in &targets {
             g.add_link(bad_hub, t);
         }
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let config = CafcChConfig::paper_default(2)
             .with_hub(HubClusterOptions {
@@ -458,7 +406,15 @@ mod tests {
             .with_kmeans(strict_kmeans())
             .with_min_hub_quality(Some(0.5));
         let mut rng = StdRng::seed_from_u64(8);
-        let out = cafc_ch(&g, &targets, &space, &config, &mut rng);
+        let out = cafc_ch(
+            &g,
+            &targets,
+            &space,
+            &config,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(
             out.quality_rejected >= 1,
             "the mixed hub should be gated out"
@@ -469,9 +425,9 @@ mod tests {
     fn hub_cluster_quality_values() {
         let (_, _, corpus) = fixture();
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-        assert_eq!(hub_cluster_quality(&space, &[0]), 1.0);
-        let pure = hub_cluster_quality(&space, &[0, 1, 2]);
-        let mixed = hub_cluster_quality(&space, &[0, 1, 3]);
+        assert_eq!(hub_cluster_quality(&space, &[0], ExecPolicy::Serial), 1.0);
+        let pure = hub_cluster_quality(&space, &[0, 1, 2], ExecPolicy::Serial);
+        let mixed = hub_cluster_quality(&space, &[0, 1, 3], ExecPolicy::Serial);
         assert!(pure > mixed, "pure {pure} <= mixed {mixed}");
     }
 
@@ -487,21 +443,37 @@ mod tests {
             .with_kmeans(strict_kmeans())
             .with_min_hub_quality(Some(0.1));
         let mut rng = StdRng::seed_from_u64(11);
-        let baseline = cafc_ch_exec(&g, &targets, &space, &config, &mut rng, ExecPolicy::Serial);
+        let baseline = cafc_ch(
+            &g,
+            &targets,
+            &space,
+            &config,
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
             let mut rng = StdRng::seed_from_u64(11);
-            let out = cafc_ch_exec(&g, &targets, &space, &config, &mut rng, policy);
+            let out = cafc_ch(
+                &g,
+                &targets,
+                &space,
+                &config,
+                &mut rng,
+                policy,
+                &Obs::disabled(),
+            );
             assert_eq!(
                 out.outcome.partition, baseline.outcome.partition,
                 "{policy:?}"
             );
             assert_eq!(out.hub_seeds, baseline.hub_seeds, "{policy:?}");
-            let q = hub_cluster_quality_exec(&space, &[0, 1, 2, 3], policy);
-            let q0 = hub_cluster_quality_exec(&space, &[0, 1, 2, 3], ExecPolicy::Serial);
+            let q = hub_cluster_quality(&space, &[0, 1, 2, 3], policy);
+            let q0 = hub_cluster_quality(&space, &[0, 1, 2, 3], ExecPolicy::Serial);
             assert_eq!(q.to_bits(), q0.to_bits(), "quality under {policy:?}");
         }
     }
@@ -518,6 +490,8 @@ mod tests {
             &space,
             &CafcChConfig::paper_default(2),
             &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
     }
 }

@@ -43,6 +43,7 @@ mod tests {
     use super::*;
     use crate::model::{FormPageCorpus, ModelOptions};
     use crate::space::{FeatureConfig, FormPageSpace};
+    use crate::{ExecPolicy, Obs};
 
     #[test]
     fn assigns_new_pages_to_matching_cluster() {
@@ -56,7 +57,12 @@ mod tests {
             "<p>flights airfare airline travel</p><form>departure <input name=e></form>",
             "<p>employment resume salary careers</p><form>keywords <input name=f></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 6);
         let assigned = assign_to_clusters(&space, &partition, &[4, 5]);
@@ -70,7 +76,12 @@ mod tests {
             "<p>airfare travel</p>",
             "<p>flights airline</p>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::PcOnly);
         let partition = Partition::new(vec![vec![], vec![0, 1]], 3);
         let assigned = assign_to_clusters(&space, &partition, &[2]);
@@ -90,7 +101,12 @@ mod tests {
             "<p>airfare travel deals</p><form>departure <input name=b></form>",
             "<p>careers salary resume</p><form>keywords <input name=c></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let partition = Partition::new(vec![vec![0], vec![1]], 4);
         let (a, b) = (space.centroid(&[0]), space.centroid(&[1]));
@@ -108,7 +124,12 @@ mod tests {
     #[test]
     fn empty_partition_assigns_nothing() {
         let pages = ["<p>x y z</p>"];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::PcOnly);
         let partition = Partition::new(vec![vec![]], 1);
         assert!(assign_to_clusters(&space, &partition, &[0]).is_empty());

@@ -118,6 +118,7 @@ mod tests {
     use super::*;
     use crate::model::{FormPageCorpus, ModelOptions};
     use crate::space::FeatureConfig;
+    use crate::{ExecPolicy, Obs};
     use cafc_webgraph::Url;
 
     fn fixture() -> (WebGraph, Vec<PageId>) {
@@ -145,7 +146,14 @@ mod tests {
     #[test]
     fn link_component_detects_cocitation() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         // alpha = 0: pure link similarity.
         let space = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.0);
@@ -156,7 +164,14 @@ mod tests {
     #[test]
     fn alpha_one_equals_text_space() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let mixed = MixedSimilaritySpace::new(text, &g, &targets, 100, 1.0);
         for a in 0..4 {
@@ -169,7 +184,14 @@ mod tests {
     #[test]
     fn mixed_similarity_interpolates() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let t = text.item_similarity(0, 1);
         let mixed = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.5);
@@ -181,7 +203,14 @@ mod tests {
     fn kmeans_runs_on_mixed_space() {
         use cafc_cluster::{kmeans, KMeansOptions};
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let space = MixedSimilaritySpace::new(text, &g, &targets, 100, 0.5);
         let out = kmeans(
@@ -190,6 +219,8 @@ mod tests {
             &KMeansOptions::new()
                 .with_move_fraction_threshold(1e-9)
                 .with_max_iterations(50),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         let clusters = out.partition.clusters();
         assert_eq!(clusters[0], vec![0, 1]);
@@ -200,7 +231,14 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         let (g, targets) = fixture();
-        let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let text = FormPageSpace::new(&corpus, FeatureConfig::combined());
         MixedSimilaritySpace::new(text, &g, &targets, 100, 1.5);
     }

@@ -16,7 +16,7 @@
 //!
 //! The pipeline under test is the scale path of DESIGN.md §17: sharded
 //! ingest ([`crate::model::ingest_shard`] under a memory budget), TF-IDF
-//! vectorization, k-means ([`cafc_cluster::kmeans_exec`])
+//! vectorization, k-means ([`cafc_cluster::kmeans()`])
 //! and HAC over a deterministic sample. Corpus *generation* is injected
 //! as a shard source closure — this crate cannot depend on
 //! `cafc-corpus` (which depends on nothing here but is wired by the CLI),
@@ -26,8 +26,8 @@ use crate::ingest::{IngestLimits, IngestReport};
 use crate::model::{ingest_shard, FormPageCorpus, IngestMerge, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{
-    hac_exec, kmeans_exec, random_singleton_seeds, ClusterSpace, HacOptions, KMeansOptions,
-    Linkage, Partition,
+    hac, kmeans, random_singleton_seeds, ClusterSpace, HacOptions, KMeansOptions, Linkage,
+    Partition,
 };
 use cafc_exec::ExecPolicy;
 use cafc_obs::json::number;
@@ -319,8 +319,7 @@ where
     let start = Instant::now();
     let mut merge = IngestMerge::new(&limits);
     for shard in &shards {
-        let refs: Vec<&str> = shard.iter().map(String::as_str).collect();
-        ingest_shard(&refs, &opts, &limits, policy, &obs, &mut merge);
+        ingest_shard(shard, &opts, &limits, policy, &obs, &mut merge);
     }
     drop(shards);
     let report: IngestReport = merge.report.clone();
@@ -345,7 +344,7 @@ where
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let n = space.len();
     let seeds = random_singleton_seeds(&space, config.k, &mut StdRng::seed_from_u64(config.seed));
-    let outcome = kmeans_exec(&space, &seeds, &KMeansOptions::default(), policy);
+    let outcome = kmeans(&space, &seeds, &KMeansOptions::default(), policy, &obs);
     stage("kmeans", n, start);
 
     // ---- hac_sample: HAC over a stride sample ----------------------
@@ -364,7 +363,7 @@ where
             target_clusters: config.k,
             linkage: Linkage::Centroid,
         };
-        partition_hash(&hac_exec(&sample, &singletons, &hac_opts, policy))
+        partition_hash(&hac(&sample, &singletons, &hac_opts, policy, &obs))
     };
     stage("hac_sample", sample_len, start);
 

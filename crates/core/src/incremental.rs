@@ -158,6 +158,7 @@ mod tests {
     use super::*;
     use crate::model::{FormPageCorpus, ModelOptions};
     use crate::space::FeatureConfig;
+    use crate::{ExecPolicy, Obs};
     use cafc_check::gen::{from_slice, pairs, usizes, vecs, Gen};
     use cafc_check::{check, require_eq, CheckConfig};
 
@@ -174,7 +175,12 @@ mod tests {
             "<p>travel airfare airline vacation</p><form>cabin <input name=g></form>",
             "<p>resume employment salary careers</p><form>industry <input name=h></form>",
         ];
-        FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default())
+        FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        )
     }
 
     #[test]
@@ -327,6 +333,8 @@ mod tests {
             let corpus = FormPageCorpus::from_html(
                 pages.iter().map(String::as_str),
                 &ModelOptions::default(),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
             let k = 3;

@@ -81,9 +81,7 @@ pub use cafc_exec as exec;
 pub use cafc_obs as obs;
 
 pub use algorithms::{
-    cafc_c, cafc_c_exec, cafc_c_obs, cafc_ch, cafc_ch_exec, cafc_ch_obs, hub_cluster_quality,
-    hub_cluster_quality_exec, select_hub_clusters, select_hub_clusters_exec,
-    select_hub_clusters_obs, CafcChConfig, CafcChOutcome,
+    cafc_c, cafc_ch, hub_cluster_quality, select_hub_clusters, CafcChConfig, CafcChOutcome,
 };
 pub use assign::assign_to_clusters;
 pub use bench::{run_bench, BenchConfig, BenchReport, BenchStage};

@@ -157,7 +157,7 @@ pub struct FormPageCorpus {
     /// Form-content vectors, one per page.
     pub fc: Vec<SparseVector>,
     /// In-link anchor-text vectors (empty vectors unless built from a graph
-    /// with [`FormPageCorpus::from_graph_with_anchors`]).
+    /// by [`FormPageCorpus::from_graph`] with `anchors` on).
     pub anchor: Vec<SparseVector>,
     /// Page-content collection statistics the `pc` weights were computed
     /// from. The streaming layer (`StreamCorpus`) keeps weighing late
@@ -180,38 +180,19 @@ impl FormPageCorpus {
         self.pc.is_empty()
     }
 
-    /// Build the model from raw HTML documents.
-    pub fn from_html<'a, I>(pages: I, opts: &ModelOptions) -> FormPageCorpus
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_exec(pages, opts, ExecPolicy::Serial)
-    }
-
-    /// Build the model from raw HTML documents under an explicit execution
-    /// policy.
+    /// Build the model from raw HTML documents, keeping every page: no
+    /// limits and no outcomes (the hardened path is
+    /// [`FormPageCorpus::from_shards`]).
     ///
-    /// Bit-identical to [`FormPageCorpus::from_html`] (which delegates here
-    /// with [`ExecPolicy::Serial`]) for every policy: pages are vectorized
-    /// in fixed-size chunks against chunk-local term dictionaries, and the
-    /// chunks are re-based onto the shared dictionary in chunk order, which
-    /// reproduces the serial first-occurrence id assignment exactly.
-    pub fn from_html_exec<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_obs(pages, opts, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_html_exec`] with instrumentation (which
-    /// delegates here with [`Obs::disabled`]): spans `corpus.vectorize` and
+    /// Bit-identical for every `policy`: pages are vectorized in fixed-size
+    /// chunks against chunk-local term dictionaries, and the chunks are
+    /// re-based onto the shared dictionary in chunk order, which reproduces
+    /// the serial first-occurrence id assignment exactly.
+    ///
+    /// Emits, when `obs` has a sink: spans `corpus.vectorize` and
     /// `corpus.tfidf`, per-chunk `corpus.vectorize.*` metrics, and gauges
     /// `corpus.pages` / `corpus.terms`.
-    pub fn from_html_obs<'a, I>(
+    pub fn from_html<'a, I>(
         pages: I,
         opts: &ModelOptions,
         policy: ExecPolicy,
@@ -221,286 +202,33 @@ impl FormPageCorpus {
         I: IntoIterator<Item = &'a str>,
     {
         let pages: Vec<&str> = pages.into_iter().collect();
-        let vectorize_span = obs.span("corpus.vectorize");
-        let chunks = par_chunks_obs(
-            policy,
-            pages.len(),
-            PAGE_CHUNK,
-            obs,
-            "corpus.vectorize",
-            |range| {
-                let mut local = LocalVectors::default();
-                for &html in &pages[range] {
-                    local.push(html, opts);
-                }
-                local
-            },
-        );
-        let (dict, pc_counts, fc_counts) = merge_local_vectors(chunks);
-        drop(vectorize_span);
+        let (dict, pc_counts, fc_counts) = vectorize(&pages, opts, policy, obs);
         Self::finish(dict, pc_counts, fc_counts, None, opts, policy, obs)
     }
 
-    /// Build the model through the hardened ingestion layer (DESIGN.md §8):
-    /// every page gets a [`PageOutcome`], structural limits are enforced,
-    /// and quarantined pages are excluded from the corpus instead of
-    /// contributing degenerate vectors.
+    /// Build the model for `pages` stored in `graph`: the
+    /// [`FormPageCorpus::from_html`] pass over each page's stored HTML (a
+    /// page with none counts as empty), with the same metrics.
     ///
-    /// `report.kept[i]` gives the input index of corpus page `i`, and
-    /// `report.is_accounted()` always holds on return.
-    pub fn from_html_ingest<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_ingest_exec(pages, opts, limits, ExecPolicy::Serial)
-    }
-
-    /// Hardened ingestion under an explicit execution policy.
-    ///
-    /// Bit-identical to [`FormPageCorpus::from_html_ingest`] (which
-    /// delegates here with [`ExecPolicy::Serial`]) for every policy: page
-    /// outcomes are produced per fixed-size chunk and concatenated in chunk
-    /// order, so the outcome sequence, the quarantine order and the
-    /// `kept` mapping never depend on the thread count — and
-    /// `report.is_accounted()` always holds on return.
-    pub fn from_html_ingest_exec<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        Self::from_html_ingest_obs(pages, opts, limits, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_html_ingest_exec`] with instrumentation
-    /// (which delegates here with [`Obs::disabled`]): an `ingest` span,
-    /// per-chunk `ingest.*` metrics, per-page `ingest.sanitize_us` /
-    /// `ingest.parse_us` / `ingest.analyze_us` histograms (recorded by
-    /// worker threads — safe, counters and histograms aggregate
-    /// commutatively), outcome counters `ingest.pages_total` /
-    /// `ingest.pages_ok` / `ingest.pages_degraded` /
-    /// `ingest.pages_quarantined`, and one `ingest.degraded.<label>`
-    /// counter per [`DegradedReason`] observed.
-    pub fn from_html_ingest_obs<'a, I>(
-        pages: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-        obs: &Obs,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let pages: Vec<&str> = pages.into_iter().collect();
-        let ingest_span = obs.span("ingest");
-        let mut merge = IngestMerge::new(limits);
-        ingest_shard(&pages, opts, limits, policy, obs, &mut merge);
-        drop(ingest_span);
-        emit_ingest_metrics(&merge.report, obs);
-        let corpus = Self::finish(
-            merge.dict,
-            merge.pc_counts,
-            merge.fc_counts,
-            None,
-            opts,
-            policy,
-            obs,
-        );
-        (corpus, merge.report)
-    }
-
-    /// Build the model through hardened ingestion from pre-cut shards of
-    /// pages, merged in shard order.
-    ///
-    /// This is the 10^5–10^6-page entry point (ROADMAP item 3): shards are
-    /// consumed one at a time from the iterator, so a generator-backed
-    /// caller (`cafc bench`, the sharded synthetic corpus) never holds more
-    /// than one shard of raw HTML in memory while the accumulated state
-    /// grows only with the *kept* corpus — which
-    /// [`IngestLimits::max_corpus_bytes`] bounds.
-    ///
-    /// **Shard-merge invariance:** per-page outcomes are pure functions of
-    /// the page, and the merge re-bases chunk-local term ids onto the
-    /// shared dictionary in input order — reproducing the global
-    /// first-occurrence term-id order of a serial single-batch pass. The
-    /// corpus and report are therefore bit-identical to
-    /// [`FormPageCorpus::from_html_ingest`] over the concatenated pages,
-    /// for **any** partition of the input into shards and any
-    /// [`IngestLimits::shard_pages`] value (pinned by `tests/scale.rs` and
-    /// the cafc-check properties).
-    pub fn from_shards<I>(
-        shards: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = Vec<String>>,
-    {
-        Self::from_shards_exec(shards, opts, limits, ExecPolicy::Serial)
-    }
-
-    /// [`FormPageCorpus::from_shards`] under an explicit execution policy;
-    /// bit-identical for every policy.
-    pub fn from_shards_exec<I>(
-        shards: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = Vec<String>>,
-    {
-        Self::from_shards_obs(shards, opts, limits, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_shards_exec`] with instrumentation — the
-    /// `ingest` span and `ingest.*` metrics of
-    /// [`FormPageCorpus::from_html_ingest_obs`].
-    pub fn from_shards_obs<I>(
-        shards: I,
-        opts: &ModelOptions,
-        limits: &IngestLimits,
-        policy: ExecPolicy,
-        obs: &Obs,
-    ) -> (FormPageCorpus, IngestReport)
-    where
-        I: IntoIterator<Item = Vec<String>>,
-    {
-        let ingest_span = obs.span("ingest");
-        let mut merge = IngestMerge::new(limits);
-        for shard in shards {
-            let refs: Vec<&str> = shard.iter().map(String::as_str).collect();
-            ingest_shard(&refs, opts, limits, policy, obs, &mut merge);
-        }
-        drop(ingest_span);
-        emit_ingest_metrics(&merge.report, obs);
-        let corpus = Self::finish(
-            merge.dict,
-            merge.pc_counts,
-            merge.fc_counts,
-            None,
-            opts,
-            policy,
-            obs,
-        );
-        (corpus, merge.report)
-    }
-
-    /// Build the model for `pages` stored in `graph`, without anchor text.
-    pub fn from_graph(graph: &WebGraph, pages: &[PageId], opts: &ModelOptions) -> FormPageCorpus {
-        Self::from_graph_impl(
-            graph,
-            pages,
-            opts,
-            false,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Graph construction under an explicit execution policy; bit-identical
-    /// to [`FormPageCorpus::from_graph`] for every policy.
-    pub fn from_graph_exec(
+    /// With `anchors`, also build the §6 anchor-text extension: for each
+    /// target page, the text of every in-link anchor pointing at it (from
+    /// the linking pages' HTML) forms a third feature space. That pass runs
+    /// under a `corpus.anchors` span.
+    pub fn from_graph(
         graph: &WebGraph,
         pages: &[PageId],
         opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, false, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_graph_exec`] with instrumentation — the
-    /// `corpus.*` spans and metrics of [`FormPageCorpus::from_html_obs`].
-    pub fn from_graph_obs(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
+        anchors: bool,
         policy: ExecPolicy,
         obs: &Obs,
     ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, false, policy, obs)
-    }
-
-    /// Build the model plus the §6 anchor-text extension: for each target
-    /// page, the text of every in-link anchor pointing at it (from the hub
-    /// pages' HTML) forms a third feature space.
-    pub fn from_graph_with_anchors(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(
-            graph,
-            pages,
-            opts,
-            true,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Graph-plus-anchors construction under an explicit execution policy;
-    /// bit-identical to [`FormPageCorpus::from_graph_with_anchors`] for
-    /// every policy.
-    pub fn from_graph_with_anchors_exec(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, true, policy, &Obs::disabled())
-    }
-
-    /// [`FormPageCorpus::from_graph_with_anchors_exec`] with
-    /// instrumentation — additionally wraps the in-link anchor pass in a
-    /// `corpus.anchors` span.
-    pub fn from_graph_with_anchors_obs(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-        policy: ExecPolicy,
-        obs: &Obs,
-    ) -> FormPageCorpus {
-        Self::from_graph_impl(graph, pages, opts, true, policy, obs)
-    }
-
-    fn from_graph_impl(
-        graph: &WebGraph,
-        pages: &[PageId],
-        opts: &ModelOptions,
-        with_anchors: bool,
-        policy: ExecPolicy,
-        obs: &Obs,
-    ) -> FormPageCorpus {
-        let vectorize_span = obs.span("corpus.vectorize");
-        let chunks = par_chunks_obs(
-            policy,
-            pages.len(),
-            PAGE_CHUNK,
-            obs,
-            "corpus.vectorize",
-            |range| {
-                let mut local = LocalVectors::default();
-                for &page in &pages[range] {
-                    local.push(graph.html(page).unwrap_or(""), opts);
-                }
-                local
-            },
-        );
-        let (mut dict, pc_counts, fc_counts) = merge_local_vectors(chunks);
-        drop(vectorize_span);
+        let html: Vec<&str> = pages.iter().map(|&p| graph.html(p).unwrap_or("")).collect();
+        let (mut dict, pc_counts, fc_counts) = vectorize(&html, opts, policy, obs);
 
         // The anchor pass interns into the merged dictionary on the calling
         // thread, after all page terms — exactly the serial interleaving.
-        let _anchor_span = with_anchors.then(|| obs.span("corpus.anchors"));
-        let anchor_counts = with_anchors.then(|| {
+        let _anchor_span = anchors.then(|| obs.span("corpus.anchors"));
+        let anchor_counts = anchors.then(|| {
             let mut term_buf: Vec<TermId> = Vec::new();
             let mut counts: Vec<CountsBuilder> =
                 (0..pages.len()).map(|_| CountsBuilder::new()).collect();
@@ -544,6 +272,83 @@ impl FormPageCorpus {
         drop(_anchor_span);
 
         Self::finish(dict, pc_counts, fc_counts, anchor_counts, opts, policy, obs)
+    }
+
+    /// Build the model through the hardened ingestion layer (DESIGN.md §8)
+    /// from pre-cut shards of pages, merged in shard order; one batch is
+    /// `from_shards([pages], …)`. Every page gets a [`PageOutcome`],
+    /// structural limits are enforced, and quarantined pages are excluded
+    /// from the corpus instead of contributing degenerate vectors.
+    /// `report.kept[i]` gives the input index of corpus page `i`, and
+    /// `report.is_accounted()` always holds on return.
+    ///
+    /// Shards are consumed one at a time from the iterator, so a
+    /// generator-backed caller (`cafc bench`, the sharded synthetic corpus)
+    /// never holds more than one shard of raw HTML in memory while the
+    /// accumulated state grows only with the *kept* corpus — which
+    /// [`IngestLimits::max_corpus_bytes`] bounds.
+    ///
+    /// **Shard-merge invariance:** per-page outcomes are pure functions of
+    /// the page, and the merge re-bases chunk-local term ids onto the
+    /// shared dictionary in input order — reproducing the global
+    /// first-occurrence term-id order of a serial single-batch pass. The
+    /// corpus and report are therefore bit-identical for **any** partition
+    /// of the input into shards, any [`IngestLimits::shard_pages`] value
+    /// and every `policy` (pinned by `tests/scale.rs` and the cafc-check
+    /// properties).
+    ///
+    /// Emits, when `obs` has a sink: an `ingest` span, per-chunk `ingest.*`
+    /// metrics, per-page `ingest.sanitize_us` / `ingest.parse_us` /
+    /// `ingest.analyze_us` histograms (recorded by worker threads — safe,
+    /// counters and histograms aggregate commutatively), outcome counters
+    /// `ingest.pages_total` / `ingest.pages_ok` / `ingest.pages_degraded` /
+    /// `ingest.pages_quarantined`, one `ingest.degraded.<label>` counter per
+    /// [`DegradedReason`] observed, and the `corpus.tfidf` span and gauges
+    /// of [`FormPageCorpus::from_html`].
+    pub fn from_shards<I, S, P>(
+        shards: I,
+        opts: &ModelOptions,
+        limits: &IngestLimits,
+        policy: ExecPolicy,
+        obs: &Obs,
+    ) -> (FormPageCorpus, IngestReport)
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<[P]>,
+        P: AsRef<str> + Sync,
+    {
+        let ingest_span = obs.span("ingest");
+        let mut merge = IngestMerge::new(limits);
+        for shard in shards {
+            ingest_shard(shard.as_ref(), opts, limits, policy, obs, &mut merge);
+        }
+        drop(ingest_span);
+        emit_ingest_metrics(&merge.report, obs);
+        let corpus = Self::finish(
+            merge.dict,
+            merge.pc_counts,
+            merge.fc_counts,
+            None,
+            opts,
+            policy,
+            obs,
+        );
+        (corpus, merge.report)
+    }
+
+    /// [`FormPageCorpus::from_shards`] with instrumentation off. It stays
+    /// as a forwarder because the repository benchmark (`crates/benchmark`,
+    /// frozen with its workload definitions) calls it by this name.
+    pub fn from_shards_exec<I>(
+        shards: I,
+        opts: &ModelOptions,
+        limits: &IngestLimits,
+        policy: ExecPolicy,
+    ) -> (FormPageCorpus, IngestReport)
+    where
+        I: IntoIterator<Item = Vec<String>>,
+    {
+        Self::from_shards(shards, opts, limits, policy, &Obs::disabled())
     }
 
     /// Apply per-space IDF (Equation 1's `log(N/n_i)`) and freeze vectors.
@@ -598,6 +403,34 @@ impl FormPageCorpus {
             fc_df,
         }
     }
+}
+
+/// The raw page loop behind [`FormPageCorpus::from_html`] and
+/// [`FormPageCorpus::from_graph`]: every page counted with no limits, in
+/// fixed [`PAGE_CHUNK`]-page units against chunk-local dictionaries merged
+/// in chunk order, under a `corpus.vectorize` span.
+fn vectorize(
+    pages: &[&str],
+    opts: &ModelOptions,
+    policy: ExecPolicy,
+    obs: &Obs,
+) -> (TermDict, Vec<CountsBuilder>, Vec<CountsBuilder>) {
+    let _span = obs.span("corpus.vectorize");
+    let chunks = par_chunks_obs(
+        policy,
+        pages.len(),
+        PAGE_CHUNK,
+        obs,
+        "corpus.vectorize",
+        |range| {
+            let mut local = LocalVectors::default();
+            for &html in &pages[range] {
+                local.push(html, opts);
+            }
+            local
+        },
+    );
+    merge_local_vectors(chunks)
 }
 
 /// One chunk's worth of page vectors, keyed by a chunk-local dictionary.
@@ -655,9 +488,10 @@ pub(crate) const VECTOR_ENTRY_BYTES: usize = 16;
 /// merge — which runs serially in input order under every policy, so
 /// budget decisions are execution- and shard-size-invariant.
 ///
-/// Shared by the single-batch path ([`FormPageCorpus::from_html_ingest`]),
-/// the sharded path ([`FormPageCorpus::from_shards`]) and the resumable
-/// path (resume.rs), so they can never diverge on accounting.
+/// Shared by the hardened constructor ([`FormPageCorpus::from_shards`],
+/// whose single-batch form is one shard) and the resumable path
+/// ([`FormPageCorpus::from_html_ingest_resumable`]), so the two can never
+/// diverge on accounting.
 pub(crate) struct IngestMerge {
     pub(crate) dict: TermDict,
     pub(crate) pc_counts: Vec<CountsBuilder>,
@@ -749,8 +583,8 @@ impl IngestMerge {
 
 /// Ingest one contiguous run of pages — chunked by
 /// [`IngestLimits::shard_pages`] on the exec layer — into `merge`.
-pub(crate) fn ingest_shard(
-    pages: &[&str],
+pub(crate) fn ingest_shard<P: AsRef<str> + Sync>(
+    pages: &[P],
     opts: &ModelOptions,
     limits: &IngestLimits,
     policy: ExecPolicy,
@@ -763,7 +597,7 @@ pub(crate) fn ingest_shard(
         let mut term_buf: Vec<TermId> = Vec::new();
         let outcomes: Vec<_> = pages[range]
             .iter()
-            .map(|&html| ingest_page(html, opts, limits, &mut dict, &mut term_buf, obs))
+            .map(|html| ingest_page(html.as_ref(), opts, limits, &mut dict, &mut term_buf, obs))
             .collect();
         (dict, outcomes)
     });
@@ -1008,7 +842,12 @@ mod tests {
             "<title>Cheap Flights</title><p>airfare deals</p><form>Departure <input name=d></form>",
             "<title>Job Search</title><p>careers employment</p><form>Keywords <input name=k></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 2);
         // FC vectors contain only form vocabulary.
         let departure = corpus
@@ -1031,7 +870,12 @@ mod tests {
             "<form>departure city <input name=a></form>",
             "<p>something else entirely different</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let departure = corpus.dict.get("departur").expect("interned");
         assert!(
             corpus.pc[0].get(departure) > 0.0,
@@ -1047,7 +891,12 @@ mod tests {
             "<p>privacy flights flights</p><form><input name=a></form>",
             "<p>privacy jobs</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.pc_tf.len(), corpus.len());
         let privacy = corpus.dict.get("privaci").expect("interned");
         assert_eq!(corpus.pc[0].get(privacy), 0.0, "idf-0 term dropped from pc");
@@ -1063,7 +912,12 @@ mod tests {
             "<p>privacy flights</p><form><input name=a></form>",
             "<p>privacy jobs</p><form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let privacy = corpus.dict.get("privaci").expect("interned");
         assert_eq!(corpus.pc[0].get(privacy), 0.0);
         assert_eq!(corpus.pc[1].get(privacy), 0.0);
@@ -1078,7 +932,12 @@ mod tests {
             "<p>flights y</p>",
             "<p>unrelated z</p>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let flights = corpus.dict.get("flight").expect("interned");
         assert!(
             corpus.pc[0].get(flights) > corpus.pc[1].get(flights),
@@ -1090,7 +949,12 @@ mod tests {
     fn uniform_weights_remove_location_effect() {
         let pages = ["<title>flights</title>", "<p>flights</p>", "<p>other</p>"];
         let o = opts().with_weights(LocationWeights::uniform());
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &o);
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &o,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let flights = corpus.dict.get("flight").expect("interned");
         assert!((corpus.pc[0].get(flights) - corpus.pc[1].get(flights)).abs() < 1e-12);
     }
@@ -1101,13 +965,23 @@ mod tests {
             "<form><select><option>texas</option></select> texas <input name=a></form>",
             "<form><input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &opts());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &opts(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let texas = corpus.dict.get("texa").expect("interned");
         // One occurrence at weight 0.5 (option) + one at 1.0 (form text)
         // = 1.5x idf; with uniform weights it would be 2x idf.
         let differentiated = corpus.fc[0].get(texas);
         let o = opts().with_weights(LocationWeights::uniform());
-        let uniform_corpus = FormPageCorpus::from_html(pages.iter().copied(), &o);
+        let uniform_corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &o,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let uniform = uniform_corpus.fc[0].get(texas);
         assert!(differentiated < uniform);
     }
@@ -1125,7 +999,14 @@ mod tests {
             r#"<a href="http://a.com/f">discount airfare tickets</a>"#.into(),
         );
         g.add_link(hub, target);
-        let corpus = FormPageCorpus::from_graph_with_anchors(&g, &[target], &opts());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &[target],
+            &opts(),
+            true,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 1);
         // Anchor vocabulary was collected... but with a single page the idf
         // of every anchor term is ln(1/1)=0. Build with two pages instead.
@@ -1138,7 +1019,14 @@ mod tests {
             r#"<a href="http://b.com/f">engineering jobs board</a>"#.into(),
         );
         g.add_link(hub2, target2);
-        let corpus = FormPageCorpus::from_graph_with_anchors(&g, &[target, target2], &opts());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &[target, target2],
+            &opts(),
+            true,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let airfare = corpus.dict.get("airfar").expect("anchor term interned");
         assert!(corpus.anchor[0].get(airfare) > 0.0);
         assert_eq!(corpus.anchor[1].get(airfare), 0.0);
@@ -1152,21 +1040,38 @@ mod tests {
             Url::parse("http://a.com/f").expect("url"),
             "<form><input name=q></form>".into(),
         );
-        let corpus = FormPageCorpus::from_graph(&g, &[p], &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &g,
+            &[p],
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(corpus.anchor[0].is_empty());
     }
 
     #[test]
     fn empty_corpus() {
-        let corpus = FormPageCorpus::from_html(std::iter::empty(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            std::iter::empty(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(corpus.is_empty());
     }
 
     #[test]
     fn ingest_clean_page_is_ok() {
         let pages = ["<title>Flights</title><p>airfare</p><form>depart <input name=d></form>"];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &Default::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 1);
         assert_eq!(report.outcomes, vec![PageOutcome::Ok]);
         assert_eq!(report.kept, vec![0]);
@@ -1181,8 +1086,13 @@ mod tests {
             .with_soft_max_bytes(16)
             .with_max_terms(1000);
         let pages = ["", "<!-- only a comment -->", big.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(corpus.is_empty());
         assert_eq!(report.quarantined(), 3);
         assert!(report.is_accounted());
@@ -1201,8 +1111,13 @@ mod tests {
     fn ingest_degrades_but_keeps() {
         // No title, no form -> two degradation reasons, page kept.
         let pages = ["<p>airfare deals and cheap flights</p>"];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &Default::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1222,8 +1137,13 @@ mod tests {
         );
         let limits = IngestLimits::new().with_soft_max_bytes(256);
         let pages = [body.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1241,8 +1161,13 @@ mod tests {
         );
         let limits = IngestLimits::new().with_max_terms(8);
         let pages = [body.as_str()];
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &limits);
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 1);
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
@@ -1262,14 +1187,21 @@ mod tests {
             "<title>Flights</title><form>departure <input name=q></form>\
              <p>cheap airfare the</p>",
         ] {
-            let (unlimited, _) =
-                FormPageCorpus::from_html_ingest([page], &opts(), &IngestLimits::new());
+            let (unlimited, _) = FormPageCorpus::from_shards(
+                [[page]],
+                &opts(),
+                &IngestLimits::new(),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
+            );
             // One page, so IDF zeroes `pc`; the raw frequencies keep it.
             assert_eq!(unlimited.pc_tf[0].nnz(), 4);
-            let (exact, report) = FormPageCorpus::from_html_ingest(
-                [page],
+            let (exact, report) = FormPageCorpus::from_shards(
+                [[page]],
                 &opts(),
                 &IngestLimits::new().with_max_terms(4),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             assert_eq!(report.outcomes[0], PageOutcome::Ok, "{page}");
             assert_eq!(exact.pc_tf[0], unlimited.pc_tf[0]);
@@ -1277,10 +1209,12 @@ mod tests {
             assert_eq!(exact.dict.len(), unlimited.dict.len());
             // One term short: the page is trimmed, and the term left out
             // is never interned.
-            let (short, report) = FormPageCorpus::from_html_ingest(
-                [page],
+            let (short, report) = FormPageCorpus::from_shards(
+                [[page]],
                 &opts(),
                 &IngestLimits::new().with_max_terms(3),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             assert_eq!(
                 report.outcomes[0],
@@ -1308,22 +1242,24 @@ mod tests {
             })
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
-        let baseline = FormPageCorpus::from_html_ingest_exec(
-            refs.iter().copied(),
+        let baseline = FormPageCorpus::from_shards(
+            [&refs],
             &opts(),
             &IngestLimits::new(),
             ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         for policy in [
             ExecPolicy::Parallel { threads: 1 },
             ExecPolicy::Parallel { threads: 7 },
             ExecPolicy::Auto,
         ] {
-            let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
-                refs.iter().copied(),
+            let (corpus, report) = FormPageCorpus::from_shards(
+                [&refs],
                 &opts(),
                 &IngestLimits::new(),
                 policy,
+                &Obs::disabled(),
             );
             assert_eq!(report, baseline.1, "{policy:?}");
             assert_eq!(corpus.dict.len(), baseline.0.dict.len(), "{policy:?}");
@@ -1345,16 +1281,23 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         // Establish the per-page cost, then budget for exactly two pages.
-        let (_, unbounded) =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &IngestLimits::new());
+        let (_, unbounded) = FormPageCorpus::from_shards(
+            [&refs],
+            &opts(),
+            &IngestLimits::new(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(unbounded.kept.len(), 6);
         // A zero budget quarantines everything and reports each page's
         // exact cost in the error, so the test needs no knowledge of the
         // analyzer's term counts.
-        let (_, zero) = FormPageCorpus::from_html_ingest(
-            refs.iter().copied(),
+        let (_, zero) = FormPageCorpus::from_shards(
+            [&refs],
             &opts(),
             &IngestLimits::new().with_max_corpus_bytes(0),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         let costs: Vec<usize> = zero
             .outcomes
@@ -1368,8 +1311,13 @@ mod tests {
             .collect();
         assert!(costs.iter().all(|&c| c > 0));
         let limits = IngestLimits::new().with_max_corpus_bytes(costs[0] + costs[1]);
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &limits);
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&refs],
+            &opts(),
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert_eq!(corpus.len(), 2, "budget for two pages keeps two pages");
         assert_eq!(report.kept, vec![0, 1]);
         assert_eq!(report.quarantined(), 4);
@@ -1399,18 +1347,24 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let base_limits = IngestLimits::new().with_max_corpus_bytes(1200);
-        let baseline =
-            FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &base_limits);
+        let baseline = FormPageCorpus::from_shards(
+            [&refs],
+            &opts(),
+            &base_limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         assert!(baseline.1.quarantined() > 0, "budget must actually bind");
         assert!(!baseline.1.kept.is_empty());
         for shard_pages in [1, 3, 16, 100] {
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 5 }] {
                 let limits = base_limits.with_shard_pages(shard_pages);
-                let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
-                    refs.iter().copied(),
+                let (corpus, report) = FormPageCorpus::from_shards(
+                    [&refs],
                     &opts(),
                     &limits,
                     policy,
+                    &Obs::disabled(),
                 );
                 assert_eq!(report, baseline.1, "shard_pages={shard_pages} {policy:?}");
                 assert_eq!(corpus.dict.len(), baseline.0.dict.len());
@@ -1440,7 +1394,13 @@ mod tests {
             .collect();
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let limits = IngestLimits::new();
-        let baseline = FormPageCorpus::from_html_ingest(refs.iter().copied(), &opts(), &limits);
+        let baseline = FormPageCorpus::from_shards(
+            [&refs],
+            &opts(),
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         // Partitions including empty and singleton shards (satellite edge
         // cases): every one must reproduce the single-batch build exactly.
         let partitions: Vec<Vec<Vec<String>>> = vec![
@@ -1456,8 +1416,13 @@ mod tests {
         ];
         for (which, shards) in partitions.into_iter().enumerate() {
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }] {
-                let (corpus, report) =
-                    FormPageCorpus::from_shards_exec(shards.clone(), &opts(), &limits, policy);
+                let (corpus, report) = FormPageCorpus::from_shards(
+                    shards.clone(),
+                    &opts(),
+                    &limits,
+                    policy,
+                    &Obs::disabled(),
+                );
                 assert_eq!(report, baseline.1, "partition {which} {policy:?}");
                 assert_eq!(corpus.dict.len(), baseline.0.dict.len());
                 for i in 0..corpus.len() {
@@ -1475,9 +1440,11 @@ mod tests {
     #[test]
     fn from_shards_of_only_empty_shards_is_empty() {
         let (corpus, report) = FormPageCorpus::from_shards(
-            vec![Vec::new(), Vec::new()],
+            vec![Vec::<String>::new(), Vec::new()],
             &opts(),
             &IngestLimits::new(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert!(corpus.is_empty());
         assert_eq!(report.total(), 0);
@@ -1487,8 +1454,13 @@ mod tests {
     #[test]
     fn ingest_control_chars_reported() {
         let pages = ["<title>flights</title>\u{0}<form>departure <input name=a></form>"];
-        let (_, report) =
-            FormPageCorpus::from_html_ingest(pages.iter().copied(), &opts(), &Default::default());
+        let (_, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts(),
+            &Default::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         match &report.outcomes[0] {
             PageOutcome::Degraded { reasons } => {
                 assert!(reasons.contains(&DegradedReason::ControlCharsStripped))

@@ -2,10 +2,13 @@
 //! hardened ingestion, feature configuration, algorithm choice and the
 //! execution policy together.
 //!
-//! The free functions ([`cafc_c`](crate::cafc_c), [`cafc_ch`](crate::cafc_ch))
-//! and the four `FormPageCorpus::from_*` constructors remain available —
-//! they are thin wrappers over the same machinery — but new code should
-//! start here:
+//! Each stage it wires is also one public function —
+//! [`FormPageCorpus::from_html`], [`FormPageCorpus::from_graph`],
+//! [`FormPageCorpus::from_shards`], [`cafc_c`], [`cafc_ch`], [`hac()`] and
+//! [`bisecting_kmeans`] — taking the execution policy and the
+//! observability handle as its last two arguments. The pipeline passes its
+//! own [`ExecPolicy`] and [`Obs`] to every stage, so one builder call sets
+//! both for the whole run:
 //!
 //! ```
 //! use cafc::prelude::*;
@@ -24,12 +27,12 @@
 //! assert_eq!(outcome.partition.num_clusters(), 8);
 //! ```
 
-use crate::algorithms::{cafc_c_obs, cafc_ch_obs, CafcChConfig};
+use crate::algorithms::{cafc_c, cafc_ch, CafcChConfig};
 use crate::ingest::{IngestLimits, IngestReport};
 use crate::model::{FormPageCorpus, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{
-    bisecting_kmeans_obs, hac_obs, BisectOptions, HacOptions, KMeansOptions, Linkage, Partition,
+    bisecting_kmeans, hac, BisectOptions, HacOptions, KMeansOptions, Linkage, Partition,
 };
 use cafc_exec::ExecPolicy;
 use cafc_obs::Obs;
@@ -185,22 +188,12 @@ impl Pipeline {
         }
         let (corpus, ingest) = match &self.limits {
             Some(limits) => {
-                let (corpus, report) = FormPageCorpus::from_html_ingest_obs(
-                    pages.iter().copied(),
-                    &self.model,
-                    limits,
-                    self.exec,
-                    &self.obs,
-                );
+                let (corpus, report) =
+                    FormPageCorpus::from_shards([pages], &self.model, limits, self.exec, &self.obs);
                 (corpus, Some(report))
             }
             None => (
-                FormPageCorpus::from_html_obs(
-                    pages.iter().copied(),
-                    &self.model,
-                    self.exec,
-                    &self.obs,
-                ),
+                FormPageCorpus::from_html(pages.iter().copied(), &self.model, self.exec, &self.obs),
                 None,
             ),
         };
@@ -220,17 +213,14 @@ impl Pipeline {
         graph: &WebGraph,
         targets: &[PageId],
     ) -> Result<PipelineOutcome, PipelineError> {
-        let corpus = if self.anchors {
-            FormPageCorpus::from_graph_with_anchors_obs(
-                graph,
-                targets,
-                &self.model,
-                self.exec,
-                &self.obs,
-            )
-        } else {
-            FormPageCorpus::from_graph_obs(graph, targets, &self.model, self.exec, &self.obs)
-        };
+        let corpus = FormPageCorpus::from_graph(
+            graph,
+            targets,
+            &self.model,
+            self.anchors,
+            self.exec,
+            &self.obs,
+        );
         let (partition, details) = self.cluster(&corpus, Some((graph, targets)))?;
         Ok(PipelineOutcome {
             partition,
@@ -250,7 +240,7 @@ impl Pipeline {
         let _cluster_span = self.obs.span("cluster");
         match &self.algorithm {
             Algorithm::CafcC { k } => {
-                let out = cafc_c_obs(
+                let out = cafc_c(
                     &space,
                     *k,
                     &KMeansOptions::default(),
@@ -270,7 +260,7 @@ impl Pipeline {
                 let Some((graph, targets)) = graph else {
                     return Err(PipelineError::NeedsGraph);
                 };
-                let out = cafc_ch_obs(
+                let out = cafc_ch(
                     graph, targets, &space, config, &mut rng, self.exec, &self.obs,
                 );
                 Ok((
@@ -291,7 +281,7 @@ impl Pipeline {
                     linkage: *linkage,
                 };
                 Ok((
-                    hac_obs(&space, &[], &opts, self.exec, &self.obs),
+                    hac(&space, &[], &opts, self.exec, &self.obs),
                     AlgorithmDetails::Hac,
                 ))
             }
@@ -301,7 +291,7 @@ impl Pipeline {
                     trials: *trials,
                     kmeans: KMeansOptions::default(),
                 };
-                let p = bisecting_kmeans_obs(&space, &opts, &mut rng, self.exec, &self.obs);
+                let p = bisecting_kmeans(&space, &opts, &mut rng, self.exec, &self.obs);
                 Ok((p, AlgorithmDetails::Bisect))
             }
         }

@@ -239,7 +239,7 @@ fn run_fingerprint(pages: &[&str], opts: &ModelOptions, limits: &IngestLimits) -
 }
 
 impl FormPageCorpus {
-    /// [`FormPageCorpus::from_html_ingest_obs`] with durable checkpoints:
+    /// [`FormPageCorpus::from_shards`] over one batch, with durable checkpoints:
     /// pages are ingested in `store.config().checkpoint_every`-sized
     /// batches (rounded up to whole vectorization chunks), the accumulated
     /// dictionary/counts/report are snapshotted after each batch, and —
@@ -401,8 +401,13 @@ mod tests {
         let pages = pages();
         let opts = ModelOptions::default();
         let limits = IngestLimits::default();
-        let baseline =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let baseline = FormPageCorpus::from_shards(
+            [&pages],
+            &opts,
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
 
         let dir = tmp_dir("clean");
         let mut store = Store::open(
@@ -430,8 +435,13 @@ mod tests {
         let pages = pages();
         let opts = ModelOptions::default();
         let limits = IngestLimits::default();
-        let baseline =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let baseline = FormPageCorpus::from_shards(
+            [&pages],
+            &opts,
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
 
         let dir = tmp_dir("crash");
         for at in [1u64, 3, 5, 8] {

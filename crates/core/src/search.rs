@@ -493,7 +493,12 @@ mod tests {
     }
 
     fn corpus() -> FormPageCorpus {
-        FormPageCorpus::from_html(pages(), &crate::ModelOptions::default())
+        FormPageCorpus::from_html(
+            pages(),
+            &crate::ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        )
     }
 
     fn partition() -> Partition {

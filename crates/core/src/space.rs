@@ -310,6 +310,7 @@ impl ClusterSpace for FormPageSpace<'_> {
 mod tests {
     use super::*;
     use crate::model::{FormPageCorpus, ModelOptions};
+    use crate::{ExecPolicy, Obs};
 
     fn corpus() -> FormPageCorpus {
         // Two airfare-ish pages, one job page. Body text differs from form
@@ -322,7 +323,12 @@ mod tests {
             "<title>Jobs</title><p>careers employment salary resume</p>\
              <form>keywords category location <input name=c></form>",
         ];
-        FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default())
+        FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        )
     }
 
     #[test]
@@ -345,7 +351,12 @@ mod tests {
             "<p>careers salary resume</p><form>departure city <input name=b></form>",
             "<p>third page noise words</p><form>other things <input name=c></form>",
         ];
-        let c = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let c = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let fc_space = FormPageSpace::new(&c, FeatureConfig::FcOnly);
         let sim = fc_space.item_similarity(0, 1);
         assert!(
@@ -547,7 +558,7 @@ mod tests {
 
     #[test]
     fn assignment_pass_matches_nearest_centroid_on_form_pages() {
-        use cafc_cluster::{kmeans_exec, nearest_centroid, ExecPolicy, KMeansOptions, Partition};
+        use cafc_cluster::{kmeans, nearest_centroid, ExecPolicy, KMeansOptions, Partition};
         let c = mixed_corpus();
         let one_pass = KMeansOptions::default().with_max_iterations(1);
         for config in CONFIGS {
@@ -562,7 +573,13 @@ mod tests {
                     })
                     .collect();
                 let want = Partition::from_assignments(&nearest, seeds.len());
-                let got = kmeans_exec(&space, &seeds, &one_pass, ExecPolicy::Serial);
+                let got = kmeans(
+                    &space,
+                    &seeds,
+                    &one_pass,
+                    ExecPolicy::Serial,
+                    &Obs::disabled(),
+                );
                 assert_eq!(got.partition, want, "{config:?} {seeds:?}");
             }
         }
@@ -570,20 +587,27 @@ mod tests {
 
     #[test]
     fn sparse_kmeans_matches_dense_on_form_pages() {
-        use cafc_cluster::{kmeans_exec, kmeans_sparse_exec, ExecPolicy, KMeansOptions};
+        use cafc_cluster::{kmeans, kmeans_sparse_exec, ExecPolicy, KMeansOptions};
         let c = mixed_corpus();
         for config in CONFIGS {
             let space = FormPageSpace::new(&c, config);
             let seeds = [vec![0], vec![2]];
-            let reference = kmeans_exec(
+            let reference = kmeans(
                 &PerPair(space),
                 &seeds,
                 &KMeansOptions::strict(),
                 ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
                 for out in [
-                    kmeans_exec(&space, &seeds, &KMeansOptions::strict(), policy),
+                    kmeans(
+                        &space,
+                        &seeds,
+                        &KMeansOptions::strict(),
+                        policy,
+                        &Obs::disabled(),
+                    ),
                     kmeans_sparse_exec(&space, &seeds, &KMeansOptions::strict(), policy),
                 ] {
                     assert_eq!(out.partition, reference.partition, "{config:?} {policy:?}");

@@ -33,7 +33,7 @@ use crate::incremental::IncrementalClusters;
 use crate::ingest::{IngestLimits, PageOutcome};
 use crate::model::{page_outcome, FormPageCorpus, ModelOptions, PageTerms};
 use crate::space::{FeatureConfig, FormPageSpace};
-use cafc_cluster::{kmeans_obs, KMeansOptions, Partition};
+use cafc_cluster::{kmeans, KMeansOptions, Partition};
 use cafc_exec::{par_map_slice, ExecPolicy};
 use cafc_html::{strip_control_chars, LocatedSink, StreamingParser};
 use cafc_obs::Obs;
@@ -368,7 +368,7 @@ impl StreamCorpus {
                 .filter(|m| !m.is_empty())
                 .cloned()
                 .collect();
-            let outcome = kmeans_obs(
+            let outcome = kmeans(
                 &space,
                 &seeds,
                 &KMeansOptions::new().with_max_iterations(self.config.recluster_iterations),
@@ -439,7 +439,8 @@ mod tests {
     /// Batch-build the 4 seed pages and wrap them for streaming.
     fn seeded(config: StreamConfig, obs: Obs) -> StreamCorpus {
         let pages = AIRFARE.iter().chain(CAREERS.iter()).copied();
-        let corpus = FormPageCorpus::from_html(pages, &config.opts);
+        let corpus =
+            FormPageCorpus::from_html(pages, &config.opts, ExecPolicy::Serial, &Obs::disabled());
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 4);
         StreamCorpus::new(corpus, &partition, config, obs)
     }

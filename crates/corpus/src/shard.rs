@@ -145,20 +145,22 @@ pub fn generate_shard(config: &ShardedCorpusConfig, shard_index: usize) -> Vec<S
         .collect()
 }
 
-/// Generate the whole corpus as shards in shard order, serially.
-pub fn generate_sharded(config: &ShardedCorpusConfig) -> Vec<Vec<String>> {
-    generate_sharded_exec(config, ExecPolicy::Serial)
-}
-
 /// Generate the whole corpus as shards in shard order on the exec layer.
 ///
 /// Bit-identical across policies: each shard is a pure function of
 /// `(config, shard_index)` and the exec layer merges in shard order.
-pub fn generate_sharded_exec(config: &ShardedCorpusConfig, policy: ExecPolicy) -> Vec<Vec<String>> {
+pub fn generate_sharded(config: &ShardedCorpusConfig, policy: ExecPolicy) -> Vec<Vec<String>> {
     let cfg = config.clone();
     par_map(policy, config.num_shards(), move |s| {
         generate_shard(&cfg, s)
     })
+}
+
+/// [`generate_sharded`] under its former name. It stays as a forwarder
+/// because the repository benchmark (`crates/benchmark`, frozen with its
+/// workload definitions) calls it by this name.
+pub fn generate_sharded_exec(config: &ShardedCorpusConfig, policy: ExecPolicy) -> Vec<Vec<String>> {
+    generate_sharded(config, policy)
 }
 
 #[cfg(test)]
@@ -191,11 +193,11 @@ mod tests {
         let n = 53;
         let flat =
             |shards: Vec<Vec<String>>| -> Vec<String> { shards.into_iter().flatten().collect() };
-        let base = flat(generate_sharded(&cfg(n, 7, 3)));
+        let base = flat(generate_sharded(&cfg(n, 7, 3), ExecPolicy::Serial));
         assert_eq!(base.len(), n);
         for shard in [1, 8, 53, 100] {
             assert_eq!(
-                flat(generate_sharded(&cfg(n, shard, 3))),
+                flat(generate_sharded(&cfg(n, shard, 3), ExecPolicy::Serial)),
                 base,
                 "shard {shard}"
             );
@@ -205,8 +207,8 @@ mod tests {
     #[test]
     fn exec_policies_agree_exactly() {
         let c = cfg(40, 6, 11);
-        let serial = generate_sharded_exec(&c, ExecPolicy::Serial);
-        let parallel = generate_sharded_exec(&c, ExecPolicy::Parallel { threads: 4 });
+        let serial = generate_sharded(&c, ExecPolicy::Serial);
+        let parallel = generate_sharded(&c, ExecPolicy::Parallel { threads: 4 });
         assert_eq!(serial, parallel);
     }
 
@@ -214,7 +216,7 @@ mod tests {
     fn shard_sizes_and_count() {
         let c = cfg(10, 4, 0);
         assert_eq!(c.num_shards(), 3);
-        let shards = generate_sharded(&c);
+        let shards = generate_sharded(&c, ExecPolicy::Serial);
         assert_eq!(shards.iter().map(Vec::len).collect::<Vec<_>>(), [4, 4, 2]);
         assert!(generate_shard(&c, 5).is_empty(), "past-the-end shard");
     }
@@ -222,18 +224,28 @@ mod tests {
     #[test]
     fn degenerate_configs() {
         assert_eq!(cfg(0, 8, 0).num_shards(), 0);
-        assert!(generate_sharded(&cfg(0, 8, 0)).is_empty());
+        assert!(generate_sharded(&cfg(0, 8, 0), ExecPolicy::Serial).is_empty());
         // shard_pages == 0 is clamped to 1, not a panic or a hang.
         let c = cfg(3, 0, 0);
         assert_eq!(c.num_shards(), 3);
-        assert_eq!(generate_sharded(&c).into_iter().flatten().count(), 3);
+        assert_eq!(
+            generate_sharded(&c, ExecPolicy::Serial)
+                .into_iter()
+                .flatten()
+                .count(),
+            3
+        );
     }
 
     #[test]
     fn pages_parse_and_carry_one_form() {
         let c = cfg(24, 8, 5);
         let mut singles = 0usize;
-        for (i, page) in generate_sharded(&c).into_iter().flatten().enumerate() {
+        for (i, page) in generate_sharded(&c, ExecPolicy::Serial)
+            .into_iter()
+            .flatten()
+            .enumerate()
+        {
             let doc = cafc_html::parse(&page);
             let forms = cafc_html::extract_forms(&doc);
             assert_eq!(forms.len(), 1, "page {i}");

@@ -142,6 +142,7 @@ pub fn crawl(graph: &WebGraph, seed: PageId, config: &CrawlConfig) -> CrawlResul
         &mut fetcher,
         seed,
         &ResilientConfig::with_limits(*config),
+        &Obs::disabled(),
     )
     .pages
 }
@@ -201,22 +202,14 @@ impl CrawlState {
 /// `graph` supplies URL identity and link resolution (what a real crawler
 /// gets from DNS and its frontier); page *content* only ever arrives
 /// through `fetcher`.
+///
+/// The run executes under a `crawl` span, every backoff wait lands in the
+/// `crawl.backoff_wait_ms` histogram, and the final [`CrawlStats`] are
+/// mirrored into `crawl.*` counters (attempts, successes, retries, error
+/// classes, breaker events, parking, dead letters) plus a
+/// `crawl.sim_elapsed_ms` gauge. The crawl itself is bit-identical whether
+/// or not `obs` has a sink.
 pub fn crawl_resilient<F: Fetcher>(
-    graph: &WebGraph,
-    fetcher: &mut F,
-    seed: PageId,
-    config: &ResilientConfig,
-) -> ResilientCrawlOutcome {
-    crawl_resilient_obs(graph, fetcher, seed, config, &Obs::disabled())
-}
-
-/// [`crawl_resilient`] with instrumentation: the run executes under a
-/// `crawl` span, every backoff wait lands in the `crawl.backoff_wait_ms`
-/// histogram, and the final [`CrawlStats`] are mirrored into `crawl.*`
-/// counters (attempts, successes, retries, error classes, breaker events,
-/// parking, dead letters) plus a `crawl.sim_elapsed_ms` gauge. The crawl
-/// itself is bit-identical whether or not a sink is installed.
-pub fn crawl_resilient_obs<F: Fetcher>(
     graph: &WebGraph,
     fetcher: &mut F,
     seed: PageId,
@@ -657,6 +650,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            &Obs::disabled(),
         );
         assert_eq!(outcome.pages.visited, plain.visited);
         assert_eq!(
@@ -680,7 +674,13 @@ mod tests {
         g.add_page(url("http://a.com/x"), "x".into());
         g.intern(url("http://ghost.com/"));
         let mut fetcher = GraphFetcher::new(&g);
-        let outcome = crawl_resilient(&g, &mut fetcher, home, &ResilientConfig::default());
+        let outcome = crawl_resilient(
+            &g,
+            &mut fetcher,
+            home,
+            &ResilientConfig::default(),
+            &Obs::disabled(),
+        );
         assert_eq!(outcome.pages.visited.len(), 2);
         assert_eq!(outcome.stats.abandoned, 1);
         assert_eq!(outcome.stats.abandoned_with(AbandonReason::Permanent), 1);
@@ -697,6 +697,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            &Obs::disabled(),
         );
         let found = outcome
             .pages
@@ -723,10 +724,11 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            &Obs::disabled(),
         );
         let obs = Obs::with_clock(std::sync::Arc::new(cafc_obs::ManualClock::new()));
         let mut chaos = ChaosFetcher::over_graph(&web.graph, FaultConfig::transient(0.2, 5));
-        let outcome = crawl_resilient_obs(
+        let outcome = crawl_resilient(
             &web.graph,
             &mut chaos,
             web.portal,
@@ -756,7 +758,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let outcome = crawl_resilient(&g, &mut chaos, home, &config);
+        let outcome = crawl_resilient(&g, &mut chaos, home, &config, &Obs::disabled());
         assert!(outcome.pages.visited.is_empty());
         assert_eq!(outcome.stats.successes, 0);
         assert_eq!(

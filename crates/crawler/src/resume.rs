@@ -644,7 +644,7 @@ fn run_fingerprint(graph: &WebGraph, seed: PageId, config: &ResilientConfig) -> 
     fnv1a64(&w.into_bytes())
 }
 
-/// [`crawl_resilient_obs`](crate::crawl_resilient_obs) with durable
+/// [`crawl_resilient`](crate::crawl_resilient) with durable
 /// checkpoints: snapshots every `store.config().checkpoint_every` jobs,
 /// dead letters journaled as they happen, and — when `resume` is true —
 /// recovery from whatever valid state the store holds. A resumed crawl
@@ -790,6 +790,7 @@ mod tests {
             &mut chaos,
             web.portal,
             &ResilientConfig::default(),
+            &Obs::disabled(),
         );
 
         let dir = tmp_dir("clean");
@@ -814,7 +815,13 @@ mod tests {
         let web = generate(&CorpusConfig::small(41));
         let config = ResilientConfig::default();
         let mut chaos = ChaosFetcher::over_graph(&web.graph, fault_config());
-        let baseline = crawl_resilient(&web.graph, &mut chaos, web.portal, &config);
+        let baseline = crawl_resilient(
+            &web.graph,
+            &mut chaos,
+            web.portal,
+            &config,
+            &Obs::disabled(),
+        );
         assert!(
             !baseline.stats.dead_letter.is_empty(),
             "fault config must produce dead letters for this test to bite"

@@ -240,7 +240,7 @@ fn capitalize(word: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafc::{FeatureConfig, FormPageSpace, ModelOptions};
+    use cafc::{ExecPolicy, FeatureConfig, FormPageSpace, ModelOptions, Obs};
     use cafc_cluster::ClusterSpace;
 
     fn fixture() -> (FormPageCorpus, Partition, Vec<(String, String, usize)>) {
@@ -252,7 +252,12 @@ mod tests {
              <form>keywords <input name=c></form>",
             "<p>employment careers openings resume salary</p><form>category <input name=d></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 4);
         let metadata = (0..4)
             .map(|i| (format!("http://s{i}.com/f"), format!("Site {i}"), 1usize))
@@ -326,10 +331,24 @@ mod tests {
         use rand::SeedableRng;
         let web = generate(&CorpusConfig::small(55));
         let targets = web.form_page_ids();
-        let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &web.graph,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let mut rng = StdRng::seed_from_u64(1);
-        let out = cafc::cafc_c(&space, 8, &cafc::KMeansOptions::default(), &mut rng);
+        let out = cafc::cafc_c(
+            &space,
+            8,
+            &cafc::KMeansOptions::default(),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let index = ClusterIndex::from_graph(&corpus, &out.partition, &web.graph, &targets, 5);
         assert_eq!(index.num_clusters(), 8);
         let total: usize = index.summaries().iter().map(|s| s.entries.len()).sum();

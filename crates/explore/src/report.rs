@@ -87,14 +87,19 @@ pub fn html_report(index: &ClusterIndex<'_>) -> String {
 mod tests {
     use super::*;
     use crate::index::ClusterIndex;
-    use cafc::{FormPageCorpus, ModelOptions, Partition};
+    use cafc::{ExecPolicy, FormPageCorpus, ModelOptions, Obs, Partition};
 
     fn index_fixture() -> (FormPageCorpus, Partition, Vec<(String, String, usize)>) {
         let pages = [
             "<p>airfare flights travel airline</p><form>departure <input name=a></form>",
             "<p>careers employment salary</p><form>keywords <input name=b></form>",
         ];
-        let corpus = FormPageCorpus::from_html(pages.iter().copied(), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages.iter().copied(),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let partition = Partition::new(vec![vec![0], vec![1]], 2);
         let metadata = vec![
             (

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-use cafc::{FormPageCorpus, IngestLimits, ModelOptions};
+use cafc::{ExecPolicy, FormPageCorpus, IngestLimits, ModelOptions, Obs};
 use cafc_check::Seed;
 use cafc_html::coverage::{Coverage, CoverageMap};
 use cafc_html::{
@@ -386,10 +386,12 @@ pub fn execute(input: &str, split_seed: u64) -> Execution {
 
     // Oracle 6: the hardened ingestion layer accounts for every page.
     match guarded(|| {
-        let (corpus, report) = FormPageCorpus::from_html_ingest(
-            std::iter::once(input),
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [[input]],
             &ModelOptions::default(),
             &IngestLimits::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         (corpus.len(), report)
     }) {

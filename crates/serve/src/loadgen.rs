@@ -514,7 +514,7 @@ fn timed_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafc::{ModelOptions, Partition, SearchConfig, SearchPipeline};
+    use cafc::{ExecPolicy, ModelOptions, Partition, SearchConfig, SearchPipeline};
 
     fn pages() -> Vec<String> {
         (0..12)
@@ -530,8 +530,12 @@ mod tests {
     }
 
     fn index() -> SearchIndex {
-        let corpus =
-            FormPageCorpus::from_html(pages().iter().map(|p| p.as_str()), &ModelOptions::default());
+        let corpus = FormPageCorpus::from_html(
+            pages().iter().map(|p| p.as_str()),
+            &ModelOptions::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let clusters = vec![
             (0..12).filter(|i| i % 2 == 0).collect(),
             (0..12).filter(|i| i % 2 == 1).collect(),

@@ -5,7 +5,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use cafc::{FormPageCorpus, ModelOptions, Obs, Partition, SearchConfig, SearchPipeline};
+use cafc::{
+    ExecPolicy, FormPageCorpus, ModelOptions, Obs, Partition, SearchConfig, SearchPipeline,
+};
 use cafc_serve::{ServeOptions, Server, SharedIndex};
 
 fn build_index() -> cafc::SearchIndex {
@@ -19,8 +21,12 @@ fn build_index() -> cafc::SearchIndex {
             format!("<p>{topic} database page{i}</p><form><input name=f{i}></form>")
         })
         .collect();
-    let corpus =
-        FormPageCorpus::from_html(pages.iter().map(|p| p.as_str()), &ModelOptions::default());
+    let corpus = FormPageCorpus::from_html(
+        pages.iter().map(|p| p.as_str()),
+        &ModelOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let partition = Partition::new(
         vec![
             (0..8).filter(|i| i % 2 == 0).collect(),
@@ -268,8 +274,12 @@ fn shared_index_hot_swaps_under_live_traffic() {
         })
         .collect();
     pages.push("<p>submarine voyages periscope depth</p><form><input name=f8></form>".into());
-    let corpus =
-        FormPageCorpus::from_html(pages.iter().map(|p| p.as_str()), &ModelOptions::default());
+    let corpus = FormPageCorpus::from_html(
+        pages.iter().map(|p| p.as_str()),
+        &ModelOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let partition = Partition::new(
         vec![
             (0..9).filter(|i| i % 2 == 0).collect(),

@@ -10,7 +10,10 @@
 //! cargo run --release --example build_directory
 //! ```
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs,
+};
 use cafc_cluster::ClusterSpace;
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_html::parse;
@@ -20,14 +23,29 @@ use rand::SeedableRng;
 fn main() {
     let web = generate(&CorpusConfig::small(123));
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(5);
     let config = CafcChConfig::paper_default(8).with_hub(cafc::HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     println!("==============================================");
     println!("        THE HIDDEN-WEB DATABASE DIRECTORY      ");

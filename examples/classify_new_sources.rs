@@ -12,8 +12,8 @@
 //! ```
 
 use cafc::{
-    assign_to_clusters, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace,
-    ModelOptions, Partition,
+    assign_to_clusters, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus,
+    FormPageSpace, ModelOptions, Obs, Partition,
 };
 use cafc_corpus::{generate, CorpusConfig};
 use rand::rngs::StdRng;
@@ -25,7 +25,14 @@ fn main() {
     let labels = web.labels();
 
     // One shared corpus so IDF statistics cover known + new pages alike.
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
 
     // Hold out every 5th page as a "new source".
@@ -45,7 +52,15 @@ fn main() {
         min_cardinality: 4,
         ..Default::default()
     });
-    let full = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let full = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let known_clusters: Vec<Vec<usize>> = full
         .outcome
         .partition

@@ -6,7 +6,10 @@
 //! cargo run --release --example crawl_and_cluster
 //! ```
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs,
+};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_crawler::{
     crawl, crawl_resilient, ChaosFetcher, CrawlConfig, FaultConfig, ResilientConfig,
@@ -37,6 +40,7 @@ fn main() {
         &mut chaos,
         web.portal,
         &ResilientConfig::default(),
+        &Obs::disabled(),
     );
     println!(
         "under 25% transient faults: {} of {} searchable-form pages recovered\n{}",
@@ -47,14 +51,29 @@ fn main() {
 
     // --- organization: CAFC-CH over exactly what the crawler found -----
     let targets = crawl_result.searchable_form_pages.clone();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(1);
     let config = CafcChConfig::paper_default(8).with_hub(cafc::HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     for (i, members) in result.outcome.partition.clusters().iter().enumerate() {
         println!("cluster {i}: {} databases", members.len());

@@ -6,7 +6,10 @@
 //! cargo run --release --example explore_clusters
 //! ```
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs,
+};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_explore::{html_report, text_report, ClusterIndex};
 use rand::rngs::StdRng;
@@ -16,14 +19,29 @@ fn main() {
     // Cluster a synthetic deep web.
     let web = generate(&CorpusConfig::small(2024));
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(9);
     let config = CafcChConfig::paper_default(8).with_hub(cafc::HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     // Build the searchable index.
     let index =

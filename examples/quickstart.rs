@@ -5,7 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs,
+};
 use cafc_cluster::ClusterSpace;
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_eval::EntropyBase;
@@ -22,7 +25,14 @@ fn main() {
 
     // 2. The form-page model: two TF-IDF vector spaces per page (page
     //    contents PC and form contents FC), location-aware term weights.
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
 
     // 3. CAFC-CH: hub clusters from shared backlinks seed k-means.
@@ -31,7 +41,15 @@ fn main() {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     println!(
         "clustered into {} clusters ({} hub seeds, {} padded, {} k-means iterations)",
         result.outcome.partition.num_clusters(),

@@ -17,8 +17,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cafc::ExecPolicy;
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, ModelOptions, Obs};
+use cafc::{
+    ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, ModelOptions, Obs,
+};
 use cafc_check::gen::{f64s, pairs, usizes};
 use cafc_check::{check, require, require_eq, CheckConfig};
 use cafc_cluster::{
@@ -61,10 +62,11 @@ impl Fixture {
             .iter()
             .map(|p| web.graph.html(*p).unwrap_or("").to_owned())
             .collect();
-        let corpus = FormPageCorpus::from_graph_obs(
+        let corpus = FormPageCorpus::from_graph(
             &web.graph,
             &targets,
             &ModelOptions::default(),
+            false,
             ExecPolicy::Auto,
             &Obs::disabled(),
         );

@@ -1,7 +1,10 @@
 //! Integration of the acquisition substrates: crawler + classifier feed
 //! the clustering pipeline, exactly as in the paper's system context.
 
-use cafc::{cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs,
+};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_crawler::{crawl, CrawlConfig};
 use rand::rngs::StdRng;
@@ -62,14 +65,29 @@ fn crawled_pages_cluster_like_curated_ones() {
         })
         .collect();
 
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(22);
     let config = CafcChConfig::paper_default(8).with_hub(cafc::HubClusterOptions {
         min_cardinality: 4,
         ..Default::default()
     });
-    let result = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let e = cafc_eval::entropy(
         result.outcome.partition.clusters(),
         &labels,

@@ -2,8 +2,8 @@
 //! serial, one worker, an awkward prime number of workers, auto-detected —
 //! must produce *byte-identical* results: the same partitions, the same
 //! ingestion reports in the same order, the same floating-point quality
-//! numbers down to the last bit. Also proves the redesigned [`Pipeline`]
-//! front door reproduces the legacy free-function API exactly.
+//! numbers down to the last bit. Also proves the [`Pipeline`] front door
+//! reproduces the free functions it wires exactly.
 //!
 //! CI runs this suite under `CAFC_TEST_THREADS=1` and `=4`; the variable
 //! adds one more policy to every sweep.
@@ -212,15 +212,29 @@ fn metrics_sink_does_not_perturb_clustering() {
 }
 
 /// The pipeline is a *wrapper*, not a reimplementation: with the same seed
-/// it must reproduce the legacy `cafc_c` free function exactly.
+/// it must reproduce the `cafc_c` free function exactly.
 #[test]
 fn pipeline_matches_legacy_cafc_c() {
     let web = web();
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(4);
-    let legacy = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
+    let direct = cafc_c(
+        &space,
+        8,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     for policy in policies() {
         let out = Pipeline::builder()
@@ -231,14 +245,14 @@ fn pipeline_matches_legacy_cafc_c() {
             .run_graph(&web.graph, &targets)
             .expect("CafcC accepts graph input");
         assert_eq!(
-            out.partition, legacy.partition,
-            "pipeline CafcC != legacy cafc_c under {policy:?}"
+            out.partition, direct.partition,
+            "pipeline CafcC != cafc_c under {policy:?}"
         );
     }
 }
 
-/// Same for the legacy `cafc_ch` free function, including the seeding
-/// statistics the outcome reports.
+/// Same for the `cafc_ch` free function, including the seeding statistics
+/// the outcome reports.
 #[test]
 fn pipeline_matches_legacy_cafc_ch() {
     let web = web();
@@ -247,10 +261,25 @@ fn pipeline_matches_legacy_cafc_ch() {
         min_cardinality: 4,
         ..Default::default()
     });
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(6);
-    let legacy = cafc_ch(&web.graph, &targets, &space, &config, &mut rng);
+    let direct = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     for policy in policies() {
         let out = Pipeline::builder()
@@ -261,8 +290,8 @@ fn pipeline_matches_legacy_cafc_ch() {
             .run_graph(&web.graph, &targets)
             .expect("graph input satisfies CAFC-CH");
         assert_eq!(
-            out.partition, legacy.outcome.partition,
-            "pipeline CafcCh != legacy cafc_ch under {policy:?}"
+            out.partition, direct.outcome.partition,
+            "pipeline CafcCh != cafc_ch under {policy:?}"
         );
         match out.details {
             AlgorithmDetails::CafcCh {
@@ -271,9 +300,9 @@ fn pipeline_matches_legacy_cafc_ch() {
                 iterations,
                 ..
             } => {
-                assert_eq!(hub_seeds, legacy.hub_seeds);
-                assert_eq!(padded_seeds, legacy.padded_seeds);
-                assert_eq!(iterations, legacy.outcome.iterations);
+                assert_eq!(hub_seeds, direct.hub_seeds);
+                assert_eq!(padded_seeds, direct.padded_seeds);
+                assert_eq!(iterations, direct.outcome.iterations);
             }
             other => panic!("CafcCh must report CafcCh details, got {other:?}"),
         }

@@ -11,7 +11,7 @@ use cafc_check::corpus::clean_html_corpus;
 use cafc_check::gen::{from_slice, pairs, usizes, Gen};
 use cafc_check::{check, check_equiv, require, require_eq, CheckConfig};
 use cafc_cluster::Partition;
-use cafc_corpus::{mutate_page, page_rng, Mutation};
+use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation};
 use cafc_exec::ExecPolicy;
 use cafc_html::{strip_control_chars, Document, Node, NodeId, TextLocation};
 use cafc_obs::Obs;
@@ -47,9 +47,9 @@ fn run_pipeline(pages: &[String], seed: u64, exec: ExecPolicy, obs: Obs) -> Part
         .partition
 }
 
-/// The `Pipeline` front door and the legacy free-function path
-/// (`from_html` → `FormPageSpace` → `cafc_c`) must produce the identical
-/// partition for the same seed.
+/// The `Pipeline` front door and the free-function path (`from_html` →
+/// `FormPageSpace` → `cafc_c`) must produce the identical partition for
+/// the same seed.
 #[test]
 fn pipeline_matches_legacy_cafc_c() {
     check_equiv(
@@ -61,10 +61,20 @@ fn pipeline_matches_legacy_cafc_c() {
             let corpus = FormPageCorpus::from_html(
                 pages.iter().map(String::as_str),
                 &ModelOptions::default(),
+                ExecPolicy::Serial,
+                &Obs::disabled(),
             );
             let space = FormPageSpace::new(&corpus, FeatureConfig::default());
             let mut rng = StdRng::seed_from_u64(*seed as u64);
-            cafc::cafc_c(&space, 2, &KMeansOptions::default(), &mut rng).partition
+            cafc::cafc_c(
+                &space,
+                2,
+                &KMeansOptions::default(),
+                &mut rng,
+                ExecPolicy::Serial,
+                &Obs::disabled(),
+            )
+            .partition
         },
     );
 }
@@ -125,10 +135,12 @@ fn tight_limits() -> IngestLimits {
 #[test]
 fn clean_ingestion_accounts_for_every_page() {
     check!(cfg(), clean_html_corpus(1, 8), |pages: &Vec<String>| {
-        let (corpus, report) = FormPageCorpus::from_html_ingest(
-            pages.iter().map(String::as_str),
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
             &ModelOptions::default(),
             &IngestLimits::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         require!(report.is_accounted(), "accounting identity broken");
         require_eq!(report.quarantined(), 0);
@@ -149,10 +161,12 @@ fn mutated_ingestion_accounts_for_every_page() {
         seed,
     )| {
         let hostile = mutated(pages, *seed as u64);
-        let (corpus, report) = FormPageCorpus::from_html_ingest(
-            hostile.iter().map(String::as_str),
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&hostile],
             &ModelOptions::default(),
             &tight_limits(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         require!(report.is_accounted(), "accounting identity broken");
         require_eq!(report.total(), pages.len());
@@ -170,11 +184,12 @@ fn ingestion_accounting_is_exec_invariant() {
     let cases = pairs(&clean_html_corpus(1, 5), &usizes(0, 9_999));
     let tally = |pages: &[String], seed: u64, policy: ExecPolicy| {
         let hostile = mutated(pages, seed);
-        let (corpus, report) = FormPageCorpus::from_html_ingest_exec(
-            hostile.iter().map(String::as_str),
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&hostile],
             &ModelOptions::default(),
             &tight_limits(),
             policy,
+            &Obs::disabled(),
         );
         (
             report.ok(),
@@ -422,7 +437,7 @@ fn corpus_bits(c: &FormPageCorpus) -> Vec<String> {
 }
 
 /// Parsing straight into analysis ingests exactly what the DOM path did:
-/// `from_html_ingest`'s corpus and report equal the reference above, bit
+/// `from_shards`'s corpus and report equal the reference above, bit
 /// for bit, on clean pages and torture pages (every `Mutation`, two per
 /// page) under term budgets down to 3 terms and a tight corpus budget.
 #[test]
@@ -443,8 +458,13 @@ fn ingest_matches_dom_reference() {
             .with_max_corpus_bytes(*corpus_bytes)
             .with_shard_pages(3);
         let opts = ModelOptions::default();
-        let (corpus, report) =
-            FormPageCorpus::from_html_ingest(all.iter().map(String::as_str), &opts, &limits);
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&all],
+            &opts,
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let (expected, expected_report) = reference_ingest(&all, &opts, &limits);
         require_eq!(report, expected_report);
         require!(
@@ -453,4 +473,113 @@ fn ingest_matches_dom_reference() {
         );
         Ok(())
     });
+}
+
+// ---------------------------------------------------------------------
+// The raw page loop (`from_html`) against the hardened one (`from_shards`)
+// ---------------------------------------------------------------------
+
+/// Hardened ingestion with every limit lifted.
+fn unlimited() -> IngestLimits {
+    IngestLimits::new()
+        .with_hard_max_bytes(usize::MAX)
+        .with_soft_max_bytes(usize::MAX)
+        .with_max_terms(usize::MAX)
+        .with_max_corpus_bytes(usize::MAX)
+}
+
+fn raw(pages: &[&str]) -> FormPageCorpus {
+    let opts = ModelOptions::default();
+    FormPageCorpus::from_html(
+        pages.iter().copied(),
+        &opts,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    )
+}
+
+fn hardened(pages: &[&str]) -> (FormPageCorpus, IngestReport) {
+    let opts = ModelOptions::default();
+    FormPageCorpus::from_shards(
+        [pages],
+        &opts,
+        &unlimited(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    )
+}
+
+/// On clean pages the two loops agree bit for bit once every limit is
+/// lifted: the dictionary, `pc`, `pc_tf`, `fc` and both DF tables. Pinned
+/// on the 80 form pages of `CorpusConfig::small(7)` and on generated
+/// corpora.
+#[test]
+fn from_html_matches_unlimited_from_shards_on_clean_pages() {
+    let web = generate(&CorpusConfig::small(7));
+    let pages: Vec<&str> = web
+        .form_page_ids()
+        .iter()
+        .map(|&p| web.graph.html(p).unwrap_or(""))
+        .collect();
+    assert_eq!(pages.len(), 80);
+    let (corpus, report) = hardened(&pages);
+    assert_eq!(report.kept.len(), pages.len(), "no page quarantined");
+    assert_eq!(corpus_bits(&corpus), corpus_bits(&raw(&pages)));
+
+    check!(cfg(), clean_html_corpus(1, 8), |pages: &Vec<String>| {
+        let pages: Vec<&str> = pages.iter().map(String::as_str).collect();
+        let (corpus, report) = hardened(&pages);
+        require_eq!(report.kept.len(), pages.len());
+        require!(
+            corpus_bits(&corpus) == corpus_bits(&raw(&pages)),
+            "from_html and unlimited from_shards differ on clean pages"
+        );
+        Ok(())
+    });
+}
+
+/// The terms a one-page corpus interned, in id order.
+fn terms(corpus: &FormPageCorpus) -> Vec<String> {
+    corpus.dict.iter().map(|(_, t)| t.to_owned()).collect()
+}
+
+/// First divergence: the hardened loop strips control characters before
+/// parsing, which joins the words on either side. The raw loop's tokenizer
+/// splits on them instead.
+#[test]
+fn control_characters_split_raw_words_but_join_hardened_ones() {
+    let page = ["<p>Air\u{1}fare deals</p>"];
+    assert_eq!(terms(&raw(&page)), ["air", "fare", "deal"]);
+    let (corpus, report) = hardened(&page);
+    assert_eq!(terms(&corpus), ["airfar", "deal"]);
+    assert_eq!(
+        report.outcomes,
+        [PageOutcome::Degraded {
+            reasons: vec![
+                DegradedReason::ControlCharsStripped,
+                DegradedReason::MissingTitle,
+                DegradedReason::NoFormContent,
+            ]
+        }]
+    );
+}
+
+/// Second divergence: a page with no analyzable text is kept by the raw
+/// loop, with empty vectors, and quarantined by the hardened one.
+#[test]
+fn a_page_without_text_is_kept_raw_but_quarantined_hardened() {
+    for page in ["", "<form><input name=q></form>", "<p>the of and</p>"] {
+        let corpus = raw(&[page]);
+        assert_eq!(corpus.len(), 1, "{page:?}");
+        assert_eq!(corpus.pc_tf[0].nnz(), 0, "{page:?}");
+        let (corpus, report) = hardened(&[page]);
+        assert!(corpus.is_empty(), "{page:?}");
+        assert_eq!(
+            report.outcomes,
+            [PageOutcome::Quarantined {
+                error: IngestError::EmptyDocument
+            }],
+            "{page:?}"
+        );
+    }
 }

@@ -4,7 +4,9 @@
 //! The properties run on `cafc-check`, the workspace's property engine,
 //! so these invariants are exercised on every commit.
 
-use cafc::{FeatureConfig, FormPageCorpus, FormPageSpace, LocationWeights, ModelOptions};
+use cafc::{
+    ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, LocationWeights, ModelOptions, Obs,
+};
 use cafc_check::corpus::clean_html_corpus;
 use cafc_check::gen::{f64s, pairs, Gen};
 use cafc_check::{check, require, require_close, require_eq, CheckConfig};
@@ -15,7 +17,12 @@ fn corpus_gen() -> Gen<Vec<String>> {
 }
 
 fn build(pages: &[String]) -> FormPageCorpus {
-    FormPageCorpus::from_html(pages.iter().map(String::as_str), &ModelOptions::default())
+    FormPageCorpus::from_html(
+        pages.iter().map(String::as_str),
+        &ModelOptions::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    )
 }
 
 /// Model construction is deterministic.
@@ -101,8 +108,18 @@ fn loc_weight_monotone() {
             title: base.weights.title * boost,
             ..base.weights
         });
-        let a = FormPageCorpus::from_html(pages.iter().map(String::as_str), &base);
-        let b = FormPageCorpus::from_html(pages.iter().map(String::as_str), &boosted);
+        let a = FormPageCorpus::from_html(
+            pages.iter().map(String::as_str),
+            &base,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
+        let b = FormPageCorpus::from_html(
+            pages.iter().map(String::as_str),
+            &boosted,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         // Same dictionaries (same interning order), so ids are comparable.
         for i in 0..a.len() {
             for &(t, w) in a.pc[i].entries() {
@@ -174,10 +191,21 @@ fn shard_merge_term_order_invariant() {
     check!(CheckConfig::new(), problem, |(pages, (cut, unit))| {
         let opts = ModelOptions::default();
         let limits = IngestLimits::new().with_shard_pages(*unit);
-        let (base, base_report) =
-            FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+        let (base, base_report) = FormPageCorpus::from_shards(
+            [&pages],
+            &opts,
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let shards: Vec<Vec<String>> = pages.chunks(*cut).map(<[String]>::to_vec).collect();
-        let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits);
+        let (sharded, report) = FormPageCorpus::from_shards(
+            shards,
+            &opts,
+            &limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         require_eq!(base.dict.len(), sharded.dict.len());
         for ((ta, sa), (tb, sb)) in base.dict.iter().zip(sharded.dict.iter()) {
             require_eq!(ta, tb);

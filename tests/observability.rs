@@ -8,9 +8,13 @@
 //!    thread-schedule-dependent may leak into library-level metrics.
 //! 3. One instrumented run covers every pipeline stage: ingestion, corpus
 //!    construction, seeding and clustering all leave metrics behind.
+//! 4. Each pipeline shape — every `Algorithm`, raw HTML with and without
+//!    ingest limits, graph input with anchor text — records exactly the
+//!    metric and span names pinned below.
 
+use cafc::obs::SpanSnapshot;
 use cafc::prelude::*;
-use cafc::{CafcChConfig, HubClusterOptions, ManualClock, Obs};
+use cafc::{CafcChConfig, HubClusterOptions, Linkage, ManualClock, Obs, PipelineBuilder};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation, SyntheticWeb};
 use std::sync::Arc;
 
@@ -185,4 +189,283 @@ fn disabled_obs_snapshot_stays_empty() {
         .expect("graph input satisfies CAFC-CH");
     assert!(!obs.is_enabled());
     assert!(obs.snapshot().is_empty());
+}
+
+/// Every counter, gauge, histogram and span one run leaves behind, in that
+/// order, each kind sorted. Spans are listed by their path from the root
+/// (`cluster/kmeans.assign`), so a stage that moved out of its parent
+/// shows up too.
+fn metric_names(obs: &Obs) -> Vec<String> {
+    fn span_paths(prefix: &str, spans: &[SpanSnapshot], out: &mut Vec<String>) {
+        for span in spans {
+            let path = format!("{prefix}{}", span.name);
+            span_paths(&format!("{path}/"), &span.children, out);
+            out.push(path);
+        }
+    }
+    let snap = obs.snapshot();
+    let mut spans = Vec::new();
+    span_paths("", &snap.spans, &mut spans);
+    let kinds = [
+        (
+            "counter",
+            snap.counters.iter().map(|(n, _)| n.clone()).collect(),
+        ),
+        (
+            "gauge",
+            snap.gauges.iter().map(|(n, _)| n.clone()).collect(),
+        ),
+        (
+            "histogram",
+            snap.histograms.iter().map(|(n, _)| n.clone()).collect(),
+        ),
+        ("span", spans),
+    ];
+    let mut out = Vec::new();
+    for (kind, mut names) in kinds {
+        names.sort();
+        out.extend(names.iter().map(|n| format!("{kind} {n}")));
+    }
+    out
+}
+
+/// The metric names of one pipeline run under a logical clock, over the
+/// graph's target pages (`html: None`) or over `html`.
+fn names_of_run(builder: PipelineBuilder, html: Option<&[&str]>) -> Vec<String> {
+    let web = web();
+    let targets = web.form_page_ids();
+    let obs = logical_obs();
+    let pipeline = builder.seed(2).obs(obs.clone()).build();
+    match html {
+        Some(pages) => pipeline.run_html(pages).map(drop),
+        None => pipeline.run_graph(&web.graph, &targets).map(drop),
+    }
+    .expect("the algorithm accepts this input");
+    metric_names(&obs)
+}
+
+fn hub_config() -> CafcChConfig {
+    CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
+        min_cardinality: 4,
+        ..Default::default()
+    })
+}
+
+/// The clean and the mutated HTML of the fixture's target pages.
+fn target_html() -> (Vec<String>, Vec<String>) {
+    let web = web();
+    let menu = Mutation::parse_list("all").expect("'all' names the full menu");
+    let clean: Vec<String> = web
+        .form_page_ids()
+        .iter()
+        .map(|&p| web.graph.html(p).unwrap_or("").to_owned())
+        .collect();
+    let mutated = clean
+        .iter()
+        .enumerate()
+        .map(|(i, html)| mutate_page(html, &menu, 2, &mut page_rng(5, i)))
+        .collect();
+    (clean, mutated)
+}
+
+/// CAFC-C over raw HTML, no ingest limits: `from_html` and `cafc_c`.
+const CAFC_C_HTML: &[&str] = &[
+    "counter corpus.vectorize.chunks",
+    "counter corpus.vectorize.items",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge kmeans.converged",
+    "histogram corpus.vectorize.chunk_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span cluster",
+    "span cluster/kmeans.assign",
+    "span cluster/kmeans.update",
+    "span corpus.tfidf",
+    "span corpus.vectorize",
+];
+
+/// CAFC-C over mutated HTML with ingest limits: `from_shards` and `cafc_c`.
+const CAFC_C_INGEST: &[&str] = &[
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge kmeans.converged",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span cluster",
+    "span cluster/kmeans.assign",
+    "span cluster/kmeans.update",
+    "span corpus.tfidf",
+    "span ingest",
+];
+
+/// CAFC-CH over the graph: `from_graph`, `select_hub_clusters` and `kmeans`.
+const CAFC_CH_GRAPH: &[&str] = &[
+    "counter corpus.vectorize.chunks",
+    "counter corpus.vectorize.items",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "counter seed.hub_candidates",
+    "counter seed.hub_seeds",
+    "counter seed.padded_seeds",
+    "counter seed.quality_rejected",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge kmeans.converged",
+    "histogram corpus.vectorize.chunk_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span cluster",
+    "span cluster/kmeans.assign",
+    "span cluster/kmeans.update",
+    "span cluster/seed.select_hub_clusters",
+    "span corpus.tfidf",
+    "span corpus.vectorize",
+];
+
+/// CAFC-CH over the graph with anchor-text vectors.
+const CAFC_CH_ANCHORS: &[&str] = &[
+    "counter corpus.vectorize.chunks",
+    "counter corpus.vectorize.items",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "counter seed.hub_candidates",
+    "counter seed.hub_seeds",
+    "counter seed.padded_seeds",
+    "counter seed.quality_rejected",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge kmeans.converged",
+    "histogram corpus.vectorize.chunk_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span cluster",
+    "span cluster/kmeans.assign",
+    "span cluster/kmeans.update",
+    "span cluster/seed.select_hub_clusters",
+    "span corpus.anchors",
+    "span corpus.tfidf",
+    "span corpus.vectorize",
+];
+
+/// HAC (average linkage) over the graph.
+const HAC_GRAPH: &[&str] = &[
+    "counter corpus.vectorize.chunks",
+    "counter corpus.vectorize.items",
+    "counter hac.dissimilarity_matrix.chunks",
+    "counter hac.dissimilarity_matrix.items",
+    "counter hac.merges",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge hac.final_groups",
+    "gauge hac.initial_groups",
+    "histogram corpus.vectorize.chunk_us",
+    "histogram hac.dissimilarity_matrix.chunk_us",
+    "span cluster",
+    "span cluster/hac.dissimilarity_matrix",
+    "span cluster/hac.merge_scan",
+    "span corpus.tfidf",
+    "span corpus.vectorize",
+];
+
+/// Bisecting k-means over the graph.
+const BISECT_GRAPH: &[&str] = &[
+    "counter bisect.splits",
+    "counter bisect.trials",
+    "counter corpus.vectorize.chunks",
+    "counter corpus.vectorize.items",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge kmeans.converged",
+    "histogram corpus.vectorize.chunk_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span cluster",
+    "span cluster/bisect.split",
+    "span cluster/bisect.split/kmeans.assign",
+    "span cluster/bisect.split/kmeans.update",
+    "span corpus.tfidf",
+    "span corpus.vectorize",
+];
+
+/// Every pipeline shape records the same metric and span names as before
+/// the `x` / `x_exec` / `x_obs` triplets were folded into one function
+/// each: a stage that now receives a disabled handle drops its names from
+/// the list. The lists above were recorded from the triplet-era code.
+#[test]
+fn metric_names_match_the_recorded_lists() {
+    let (clean, mutated) = target_html();
+    let clean: Vec<&str> = clean.iter().map(String::as_str).collect();
+    let mutated: Vec<&str> = mutated.iter().map(String::as_str).collect();
+    let cafc_c = || Pipeline::builder().algorithm(Algorithm::CafcC { k: 8 });
+    let cafc_ch = || Pipeline::builder().algorithm(Algorithm::CafcCh(hub_config()));
+    let hac = Pipeline::builder().algorithm(Algorithm::Hac {
+        k: 8,
+        linkage: Linkage::Average,
+    });
+    let bisect = Pipeline::builder().algorithm(Algorithm::Bisect { k: 8, trials: 2 });
+    let cases = [
+        ("CAFC_C_HTML", cafc_c(), Some(&clean), CAFC_C_HTML),
+        (
+            "CAFC_C_INGEST",
+            cafc_c().ingest_limits(IngestLimits::new()),
+            Some(&mutated),
+            CAFC_C_INGEST,
+        ),
+        ("CAFC_CH_GRAPH", cafc_ch(), None, CAFC_CH_GRAPH),
+        (
+            "CAFC_CH_ANCHORS",
+            cafc_ch().anchors(true),
+            None,
+            CAFC_CH_ANCHORS,
+        ),
+        ("HAC_GRAPH", hac, None, HAC_GRAPH),
+        ("BISECT_GRAPH", bisect, None, BISECT_GRAPH),
+    ];
+    for (case, builder, html, expected) in cases {
+        let names = names_of_run(builder, html.map(Vec::as_slice));
+        assert_eq!(names, expected, "metric names of {case}");
+    }
 }

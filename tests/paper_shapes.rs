@@ -6,8 +6,8 @@
 //! suite; they stay well under a minute even in debug builds.
 
 use cafc::{
-    cafc_c, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, LocationWeights, ModelOptions,
+    cafc_c, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HubClusterOptions, KMeansOptions, LocationWeights, ModelOptions, Obs,
 };
 use cafc_corpus::{generate, CorpusConfig, Domain, SyntheticWeb};
 use cafc_eval::{entropy, f_measure, EntropyBase};
@@ -29,7 +29,14 @@ fn env() -> &'static Env {
         let web = generate(&CorpusConfig::default());
         let targets = web.form_page_ids();
         let labels = web.labels();
-        let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+        let corpus = FormPageCorpus::from_graph(
+            &web.graph,
+            &targets,
+            &ModelOptions::default(),
+            false,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         Env {
             web,
             targets,
@@ -45,7 +52,14 @@ fn avg_cafc_c(space: &FormPageSpace<'_>, runs: u64) -> (f64, f64) {
     let mut f = 0.0;
     for run in 0..runs {
         let mut rng = StdRng::seed_from_u64(run);
-        let out = cafc_c(space, 8, &KMeansOptions::default(), &mut rng);
+        let out = cafc_c(
+            space,
+            8,
+            &KMeansOptions::default(),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         e += entropy(out.partition.clusters(), labels, EntropyBase::Two);
         f += f_measure(out.partition.clusters(), labels);
     }
@@ -61,6 +75,8 @@ fn run_ch(space: &FormPageSpace<'_>) -> (f64, f64) {
         space,
         &CafcChConfig::paper_default(8).with_hub(HubClusterOptions::default()),
         &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     (
         entropy(
@@ -112,6 +128,9 @@ fn loc_weights_ablation_shape() {
         &e.web.graph,
         &e.targets,
         &ModelOptions::new().with_weights(LocationWeights::uniform()),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     let diff_space = FormPageSpace::new(&e.corpus, FeatureConfig::combined());
     let uni_space = FormPageSpace::new(&uniform_corpus, FeatureConfig::combined());
@@ -145,6 +164,8 @@ fn single_attribute_forms_mostly_correct() {
         &space,
         &CafcChConfig::paper_default(8),
         &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     let wrong = cafc_eval::misclustered(out.outcome.partition.clusters(), &e.labels);
     let singles_total = e

@@ -2,8 +2,8 @@
 //! CAFC-CH → evaluation. Crosses every crate in the workspace.
 
 use cafc::{
-    cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, ModelOptions,
+    cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HubClusterOptions, KMeansOptions, ModelOptions, Obs,
 };
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_eval::{entropy, f_measure, EntropyBase};
@@ -23,10 +23,25 @@ fn end_to_end_cafc_ch_beats_random_chance() {
     let web = generate(&CorpusConfig::small(1));
     let targets = web.form_page_ids();
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(2);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(2), &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &small_config(2),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let clusters = result.outcome.partition.clusters();
 
     let e = entropy(clusters, &labels, EntropyBase::Two);
@@ -43,19 +58,41 @@ fn cafc_ch_beats_cafc_c_on_average() {
     let web = generate(&CorpusConfig::small(5));
     let targets = web.form_page_ids();
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
 
     let mut c_entropy = 0.0;
     for run in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(run);
-        let out = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
+        let out = cafc_c(
+            &space,
+            8,
+            &KMeansOptions::default(),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         c_entropy += entropy(out.partition.clusters(), &labels, EntropyBase::Two);
     }
     c_entropy /= 5.0;
 
     let mut rng = StdRng::seed_from_u64(9);
-    let ch = cafc_ch(&web.graph, &targets, &space, &small_config(9), &mut rng);
+    let ch = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &small_config(9),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let ch_entropy = entropy(ch.outcome.partition.clusters(), &labels, EntropyBase::Two);
     assert!(
         ch_entropy < c_entropy,
@@ -68,7 +105,14 @@ fn combined_features_beat_fc_only() {
     let web = generate(&CorpusConfig::small(8));
     let targets = web.form_page_ids();
     let labels = web.labels();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     let mut entropies = Vec::new();
     for config in [FeatureConfig::FcOnly, FeatureConfig::combined()] {
@@ -76,7 +120,14 @@ fn combined_features_beat_fc_only() {
         let mut acc = 0.0;
         for run in 0..5u64 {
             let mut rng = StdRng::seed_from_u64(run);
-            let out = cafc_c(&space, 8, &KMeansOptions::default(), &mut rng);
+            let out = cafc_c(
+                &space,
+                8,
+                &KMeansOptions::default(),
+                &mut rng,
+                ExecPolicy::Serial,
+                &Obs::disabled(),
+            );
             acc += entropy(out.partition.clusters(), &labels, EntropyBase::Two);
         }
         entropies.push(acc / 5.0);
@@ -93,13 +144,28 @@ fn combined_features_beat_fc_only() {
 fn deterministic_given_seeds() {
     let web = generate(&CorpusConfig::small(3));
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let run = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
-        cafc_ch(&web.graph, &targets, &space, &small_config(seed), &mut rng)
-            .outcome
-            .partition
+        cafc_ch(
+            &web.graph,
+            &targets,
+            &space,
+            &small_config(seed),
+            &mut rng,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        )
+        .outcome
+        .partition
     };
     assert_eq!(run(4), run(4));
 }
@@ -108,10 +174,25 @@ fn deterministic_given_seeds() {
 fn every_page_lands_in_exactly_one_cluster() {
     let web = generate(&CorpusConfig::small(6));
     let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(6);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(6), &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &small_config(6),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let mut seen: Vec<usize> = result
         .outcome
         .partition
@@ -129,8 +210,14 @@ fn every_page_lands_in_exactly_one_cluster() {
 fn anchor_extension_produces_valid_space() {
     let web = generate(&CorpusConfig::small(7));
     let targets = web.form_page_ids();
-    let corpus =
-        FormPageCorpus::from_graph_with_anchors(&web.graph, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        true,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     // Most pages receive in-link anchor text from hubs.
     let with_anchor_text = corpus.anchor.iter().filter(|v| !v.is_empty()).count();
     assert!(
@@ -147,6 +234,14 @@ fn anchor_extension_produces_valid_space() {
         },
     );
     let mut rng = StdRng::seed_from_u64(7);
-    let result = cafc_ch(&web.graph, &targets, &space, &small_config(7), &mut rng);
+    let result = cafc_ch(
+        &web.graph,
+        &targets,
+        &space,
+        &small_config(7),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(result.outcome.partition.num_assigned(), targets.len());
 }

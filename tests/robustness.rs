@@ -4,8 +4,8 @@
 //! crawl contains all of these.
 
 use cafc::{
-    cafc_c, cafc_ch, CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, HubClusterOptions,
-    KMeansOptions, ModelOptions,
+    cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HubClusterOptions, KMeansOptions, ModelOptions, Obs,
 };
 use cafc_crawler::{
     crawl_resilient, AbandonReason, BreakerConfig, FetchError, FetchResponse, Fetcher,
@@ -63,7 +63,14 @@ fn pathological_graph() -> (WebGraph, Vec<cafc_webgraph::PageId>) {
 #[test]
 fn model_construction_never_panics_on_broken_pages() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(corpus.len(), targets.len());
     // Broken pages produce empty or tiny vectors, not crashes.
     assert!(
@@ -79,24 +86,53 @@ fn model_construction_never_panics_on_broken_pages() {
 #[test]
 fn clustering_handles_empty_vectors() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(1);
-    let out = cafc_c(&space, 3, &KMeansOptions::default(), &mut rng);
+    let out = cafc_c(
+        &space,
+        3,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(out.partition.num_assigned(), targets.len());
 }
 
 #[test]
 fn cafc_ch_without_any_backlinks_pads_seeds() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let config = CafcChConfig::paper_default(3).with_hub(HubClusterOptions {
         min_cardinality: 1,
         ..Default::default()
     });
     let mut rng = StdRng::seed_from_u64(2);
-    let out = cafc_ch(&g, &targets, &space, &config, &mut rng);
+    let out = cafc_ch(
+        &g,
+        &targets,
+        &space,
+        &config,
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(out.hub_seeds, 0, "no hubs exist in this graph");
     assert_eq!(out.padded_seeds, 3);
     assert_eq!(out.outcome.partition.num_assigned(), targets.len());
@@ -105,7 +141,14 @@ fn cafc_ch_without_any_backlinks_pads_seeds() {
 #[test]
 fn anchor_extension_tolerates_linkless_pages() {
     let (g, targets) = pathological_graph();
-    let corpus = FormPageCorpus::from_graph_with_anchors(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &targets,
+        &ModelOptions::default(),
+        true,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert!(corpus.anchor.iter().all(cafc_vsm::SparseVector::is_empty));
 }
 
@@ -116,10 +159,24 @@ fn single_page_corpus() {
         url("http://solo.com/f"),
         "<form>q <input name=q></form>".into(),
     );
-    let corpus = FormPageCorpus::from_graph(&g, &[p], &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &[p],
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(3);
-    let out = cafc_c(&space, 1, &KMeansOptions::default(), &mut rng);
+    let out = cafc_c(
+        &space,
+        1,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(out.partition.clusters(), &[vec![0]]);
 }
 
@@ -212,7 +269,7 @@ fn retry_exhaustion_dead_letters_the_host_but_clusters_survivors() {
         },
         ..ResilientConfig::default()
     };
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config);
+    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config, &Obs::disabled());
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert_eq!(outcome.stats.dead_letter.len(), 1);
@@ -224,10 +281,24 @@ fn retry_exhaustion_dead_letters_the_host_but_clusters_survivors() {
     // The four surviving form pages still flow through the pipeline.
     let survivors = outcome.pages.searchable_form_pages;
     assert_eq!(survivors.len(), 4);
-    let corpus = FormPageCorpus::from_graph(&g, &survivors, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &survivors,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(5);
-    let out = cafc_c(&space, 2, &KMeansOptions::default(), &mut rng);
+    let out = cafc_c(
+        &space,
+        2,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(out.partition.num_assigned(), survivors.len());
 }
 
@@ -252,7 +323,7 @@ fn breaker_trips_then_recovers_through_half_open_probes() {
         max_parks: 8,
         ..ResilientConfig::default()
     };
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config);
+    let outcome = crawl_resilient(&g, &mut fetcher, portal, &config, &Obs::disabled());
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert!(outcome.stats.breaker_trips >= 1, "{}", outcome.stats);
@@ -277,7 +348,13 @@ fn truncated_html_mid_tag_degrades_to_fewer_forms_not_a_crash() {
     // inside its attribute list.
     let cut = "<p>airfare flights travel</p><form acti".len();
     fetcher.truncate_host = Some(("flaky.com".into(), cut));
-    let outcome = crawl_resilient(&g, &mut fetcher, portal, &ResilientConfig::default());
+    let outcome = crawl_resilient(
+        &g,
+        &mut fetcher,
+        portal,
+        &ResilientConfig::default(),
+        &Obs::disabled(),
+    );
 
     assert!(outcome.stats.is_accounted(), "{}", outcome.stats);
     assert_eq!(outcome.stats.truncated_pages, 3);
@@ -288,10 +365,24 @@ fn truncated_html_mid_tag_degrades_to_fewer_forms_not_a_crash() {
     assert_eq!(survivors.len(), 2, "only intact hosts keep their forms");
 
     // What survived still clusters.
-    let corpus = FormPageCorpus::from_graph(&g, &survivors, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &survivors,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(6);
-    let out = cafc_c(&space, 1, &KMeansOptions::default(), &mut rng);
+    let out = cafc_c(
+        &space,
+        1,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(out.partition.num_assigned(), survivors.len());
 }
 
@@ -305,10 +396,24 @@ fn identical_pages_cluster_together() {
         targets.push(g.add_page(url(&format!("http://dup{i}.com/f")), html.into()));
     }
     targets.push(g.add_page(url("http://other.com/f"), distinct.into()));
-    let corpus = FormPageCorpus::from_graph(&g, &targets, &ModelOptions::default());
+    let corpus = FormPageCorpus::from_graph(
+        &g,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
     let mut rng = StdRng::seed_from_u64(4);
-    let out = cafc_c(&space, 2, &KMeansOptions::default(), &mut rng);
+    let out = cafc_c(
+        &space,
+        2,
+        &KMeansOptions::default(),
+        &mut rng,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     // The four duplicates must share a cluster.
     let assignments = out.partition.assignments();
     let first = assignments[0];

@@ -14,12 +14,12 @@
 //! * policy invariance — `ExecPolicy::Serial` and `Parallel` produce
 //!   byte-identical corpora and partitions.
 
-use cafc::MultiCentroid;
 use cafc::{
     ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, KMeansOptions,
     ModelOptions,
 };
-use cafc_cluster::{kmeans_exec, random_singleton_seeds, ClusterSpace};
+use cafc::{MultiCentroid, Obs};
+use cafc_cluster::{kmeans, random_singleton_seeds, ClusterSpace};
 use cafc_corpus::{generate_sharded, ShardedCorpusConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,12 +61,13 @@ fn corpus_cfg(pages: usize) -> ShardedCorpusConfig {
 
 /// Build from shards under `policy`, returning the corpus and report.
 fn build(pages: usize, policy: ExecPolicy) -> (FormPageCorpus, cafc::IngestReport) {
-    let shards = generate_sharded(&corpus_cfg(pages));
-    FormPageCorpus::from_shards_exec(
+    let shards = generate_sharded(&corpus_cfg(pages), ExecPolicy::Serial);
+    FormPageCorpus::from_shards(
         shards,
         &ModelOptions::default(),
         &IngestLimits::new(),
         policy,
+        &Obs::disabled(),
     )
 }
 
@@ -110,9 +111,21 @@ fn run_at(pages: usize) {
     assert_eq!(n, report.kept.len());
     let seeds = random_singleton_seeds(&space, K, &mut StdRng::seed_from_u64(SEED));
     let opts = KMeansOptions::default();
-    let per_pair = kmeans_exec(&PerPair(&space), &seeds, &opts, ExecPolicy::Serial);
-    let batched = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Serial);
-    let batched_par = kmeans_exec(&space, &seeds, &opts, ExecPolicy::Parallel { threads: 4 });
+    let per_pair = kmeans(
+        &PerPair(&space),
+        &seeds,
+        &opts,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
+    let batched = kmeans(&space, &seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
+    let batched_par = kmeans(
+        &space,
+        &seeds,
+        &opts,
+        ExecPolicy::Parallel { threads: 4 },
+        &Obs::disabled(),
+    );
 
     assert_eq!(
         per_pair.partition.clusters(),
@@ -164,11 +177,19 @@ fn scale_full_1e5() {
 #[test]
 fn empty_and_singleton_shards_are_no_ops() {
     let cfg = corpus_cfg(60);
-    let pages: Vec<String> = generate_sharded(&cfg).into_iter().flatten().collect();
+    let pages: Vec<String> = generate_sharded(&cfg, ExecPolicy::Serial)
+        .into_iter()
+        .flatten()
+        .collect();
     let opts = ModelOptions::default();
     let limits = IngestLimits::new();
-    let (base, base_report) =
-        FormPageCorpus::from_html_ingest(pages.iter().map(String::as_str), &opts, &limits);
+    let (base, base_report) = FormPageCorpus::from_shards(
+        [&pages],
+        &opts,
+        &limits,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
 
     // Interleave empty shards with singletons and one big tail shard.
     let mut shards: Vec<Vec<String>> = vec![Vec::new()];
@@ -178,7 +199,8 @@ fn empty_and_singleton_shards_are_no_ops() {
     }
     shards.push(pages[10..].to_vec());
     shards.push(Vec::new());
-    let (sharded, report) = FormPageCorpus::from_shards(shards, &opts, &limits);
+    let (sharded, report) =
+        FormPageCorpus::from_shards(shards, &opts, &limits, ExecPolicy::Serial, &Obs::disabled());
 
     assert_eq!(base_report.outcomes, report.outcomes);
     assert_eq!(base.dict.len(), sharded.dict.len());
@@ -195,15 +217,27 @@ fn empty_and_singleton_shards_are_no_ops() {
 #[test]
 fn budget_degrades_predictably_at_scale() {
     let cfg = corpus_cfg(200);
-    let shards = generate_sharded(&cfg);
+    let shards = generate_sharded(&cfg, ExecPolicy::Serial);
     let opts = ModelOptions::default();
     // Probe the unbudgeted cost, then halve it.
-    let (_, free_report) = FormPageCorpus::from_shards(shards.clone(), &opts, &IngestLimits::new());
+    let (_, free_report) = FormPageCorpus::from_shards(
+        shards.clone(),
+        &opts,
+        &IngestLimits::new(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert_eq!(free_report.quarantined(), 0, "unbudgeted run must keep all");
     let budget = {
         // Cost of the kept corpus: recompute from a zero-budget probe.
         let probe_limits = IngestLimits::new().with_max_corpus_bytes(0);
-        let (_, probe) = FormPageCorpus::from_shards(shards.clone(), &opts, &probe_limits);
+        let (_, probe) = FormPageCorpus::from_shards(
+            shards.clone(),
+            &opts,
+            &probe_limits,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
         let total: usize = probe
             .outcomes
             .iter()
@@ -219,7 +253,13 @@ fn budget_degrades_predictably_at_scale() {
         total / 2
     };
     let limits = IngestLimits::new().with_max_corpus_bytes(budget);
-    let (squeezed, squeezed_report) = FormPageCorpus::from_shards(shards.clone(), &opts, &limits);
+    let (squeezed, squeezed_report) = FormPageCorpus::from_shards(
+        shards.clone(),
+        &opts,
+        &limits,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
     assert!(
         squeezed_report.quarantined() > 0,
         "half the byte budget must quarantine pages"
@@ -236,11 +276,12 @@ fn budget_degrades_predictably_at_scale() {
         "kept {kept_bytes} bytes against budget {budget}"
     );
     // Same decisions under a parallel policy and a different shard size.
-    let (_, par_report) = FormPageCorpus::from_shards_exec(
+    let (_, par_report) = FormPageCorpus::from_shards(
         shards,
         &opts,
         &limits.with_shard_pages(7),
         ExecPolicy::Parallel { threads: 3 },
+        &Obs::disabled(),
     );
     assert_eq!(squeezed_report.outcomes, par_report.outcomes);
 }

@@ -4,7 +4,7 @@
 //! panic-freedom across every mutation kind are all checked here, at the
 //! same integration level the `cafc torture` subcommand operates at.
 
-use cafc::{FormPageCorpus, IngestLimits, ModelOptions, PageOutcome};
+use cafc::{ExecPolicy, FormPageCorpus, IngestLimits, ModelOptions, Obs, PageOutcome};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation};
 
 /// The clean HTML of every form page in a small synthetic web.
@@ -50,10 +50,12 @@ fn ingest_accounting_invariant_holds_under_torture() {
     let pages = clean_pages(11);
     for seed in [0u64, 7, 42] {
         let mutated = mutate_all(&pages, seed, &Mutation::ALL, 3);
-        let (corpus, report) = FormPageCorpus::from_html_ingest(
-            mutated.iter().map(String::as_str),
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&mutated],
             &ModelOptions::default(),
             &IngestLimits::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert_eq!(report.total(), pages.len());
         assert_eq!(
@@ -81,10 +83,12 @@ fn every_single_mutation_ingests_without_panic() {
     let pages = clean_pages(3);
     for mutation in Mutation::ALL {
         let mutated = mutate_all(&pages, 13, &[mutation], 3);
-        let (_, report) = FormPageCorpus::from_html_ingest(
-            mutated.iter().map(String::as_str),
+        let (_, report) = FormPageCorpus::from_shards(
+            [&mutated],
             &ModelOptions::default(),
             &IngestLimits::default(),
+            ExecPolicy::Serial,
+            &Obs::disabled(),
         );
         assert!(report.is_accounted(), "{}", mutation.label());
     }
@@ -93,10 +97,12 @@ fn every_single_mutation_ingests_without_panic() {
 #[test]
 fn clean_corpus_ingests_mostly_ok() {
     let pages = clean_pages(5);
-    let (corpus, report) = FormPageCorpus::from_html_ingest(
-        pages.iter().map(String::as_str),
+    let (corpus, report) = FormPageCorpus::from_shards(
+        [&pages],
         &ModelOptions::default(),
         &IngestLimits::default(),
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     assert_eq!(corpus.len(), pages.len(), "clean pages all survive");
     assert_eq!(report.quarantined(), 0);
@@ -115,10 +121,12 @@ fn tight_limits_quarantine_rather_than_panic() {
         .with_hard_max_bytes(512)
         .with_soft_max_bytes(256)
         .with_max_terms(16);
-    let (corpus, report) = FormPageCorpus::from_html_ingest(
-        pages.iter().map(String::as_str),
+    let (corpus, report) = FormPageCorpus::from_shards(
+        [&pages],
         &ModelOptions::default(),
         &limits,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
     );
     assert!(report.is_accounted());
     assert_eq!(corpus.len(), report.kept.len());

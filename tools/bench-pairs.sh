@@ -21,6 +21,9 @@
 #   median and quartiles (linear interpolation between closest ranks) and
 #   the pairs the change won, by the metric's `better` direction. A traced
 #   run reports per-layer metrics instead, so `--trace 1` prints none.
+#
+# A run that exits non-zero, or whose last line lacks `"correct": true`,
+# stops the script with exit status 1 and names the run's output file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,10 +80,19 @@ run() {
   local trace_file="$work/runs/$workload-$pair-$seed-$side.trace.json"
   local args=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace")
   [[ "$trace" == 1 ]] && args+=(--trace-file "$trace_file")
-  taskset -c "$cpu" "${bin[$side]}" "${args[@]}" >"$out" 2>&1
+  # `run` executes inside `$(…)`, where bash ignores `set -e`: a failed
+  # run must stop the script here, not enter the medians.
+  if ! taskset -c "$cpu" "${bin[$side]}" "${args[@]}" >"$out" 2>&1; then
+    echo "bench-pairs: $side run at seed $seed exited non-zero; see $out" >&2
+    return 1
+  fi
   local digest last extra=""
   digest="$(grep -m1 ' digest: ' "$out" | sed 's/\\/\\\\/g; s/"/\\"/g' || true)"
   last="$(tail -n 1 "$out")"
+  if [[ "$last" != *'"correct": true'* ]]; then
+    echo "bench-pairs: $side run at seed $seed did not end with \"correct\": true; see $out" >&2
+    return 1
+  fi
   if [[ "$trace" == 1 ]]; then
     extra=", $(grep -m1 '^"self_time_ms": ' "$trace_file" | sed 's/,[[:space:]]*$//')"
   fi
@@ -93,7 +105,7 @@ pair=0
 for seed in $seeds; do
   if ((pair % 2 == 0)); then order=(parent change); else order=(change parent); fi
   for i in 0 1; do
-    line="$(run "${order[$i]}" "$seed" "$pair" "$i")"
+    line="$(run "${order[$i]}" "$seed" "$pair" "$i")" || exit 1
     echo "$line"
     lines+=("$line")
   done
