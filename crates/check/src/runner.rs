@@ -3,7 +3,7 @@
 //!
 //! Every case `i` of a run draws its input from a *case seed* derived
 //! from `(base seed, i)`. When a property fails, the engine greedily
-//! shrinks the counterexample along its [`Shrink`](crate::Shrink) tree
+//! shrinks the counterexample along its [`Shrink`] tree
 //! and reports the case seed; re-running with `CAFC_CHECK_SEED=<seed>`
 //! regenerates the identical input and replays the identical shrink
 //! path, byte for byte.

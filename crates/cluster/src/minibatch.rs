@@ -4,7 +4,7 @@
 //! for convergence speed: each iteration scores only a random batch of
 //! items against the centroids. Our variant keeps the CAFC driver loop
 //! (move counting over all items, full-assignment centroid rebuild, the
-//! paper's move-fraction stopping rule — see [`kmeans`](crate::kmeans))
+//! paper's move-fraction stopping rule — see [`kmeans`](fn@crate::kmeans))
 //! and swaps only the assignment step:
 //!
 //! * **iteration 1** runs a full dense pass, so every item is assigned

@@ -15,7 +15,8 @@
 //!   thread count or machine — CI diffs exactly this.
 //!
 //! The pipeline under test is the scale path of DESIGN.md §17: sharded
-//! ingest ([`crate::model::ingest_shard`] under a memory budget), TF-IDF
+//! ingest (the ingest stage of [`FormPageCorpus::from_shards`], under a
+//! memory budget), TF-IDF
 //! vectorization, k-means ([`cafc_cluster::kmeans()`])
 //! and HAC over a deterministic sample. Corpus *generation* is injected
 //! as a shard source closure — this crate cannot depend on
@@ -23,7 +24,7 @@
 //! and tests substitute tiny hand-rolled corpora.
 
 use crate::ingest::{IngestLimits, IngestReport};
-use crate::model::{ingest_shard, FormPageCorpus, IngestMerge, ModelOptions};
+use crate::model::{ingest_shards, FormPageCorpus, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{
     hac, kmeans, random_singleton_seeds, ClusterSpace, HacOptions, KMeansOptions, Linkage,
@@ -317,11 +318,7 @@ where
 
     // ---- ingest: sharded merge under the memory budget -------------
     let start = Instant::now();
-    let mut merge = IngestMerge::new(&limits);
-    for shard in &shards {
-        ingest_shard(shard, &opts, &limits, policy, &obs, &mut merge);
-    }
-    drop(shards);
+    let merge = ingest_shards(shards, &opts, &limits, policy, &obs);
     let report: IngestReport = merge.report.clone();
     let corpus_bytes = merge.used_bytes;
     stage("ingest", pages, start);

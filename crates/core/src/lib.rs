@@ -93,7 +93,7 @@ pub use pipeline::{
     Algorithm, AlgorithmDetails, Pipeline, PipelineBuilder, PipelineError, PipelineOutcome,
 };
 pub use search::{
-    SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
+    IndexDict, SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
     SearchPipelineBuilder,
 };
 pub use space::{FeatureConfig, FormPageSpace, MultiCentroid};
@@ -117,7 +117,7 @@ pub mod prelude {
         Algorithm, AlgorithmDetails, Pipeline, PipelineBuilder, PipelineError, PipelineOutcome,
     };
     pub use crate::search::{
-        SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
+        IndexDict, SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
         SearchPipelineBuilder,
     };
     pub use crate::{

@@ -317,13 +317,7 @@ impl FormPageCorpus {
         S: AsRef<[P]>,
         P: AsRef<str> + Sync,
     {
-        let ingest_span = obs.span("ingest");
-        let mut merge = IngestMerge::new(limits);
-        for shard in shards {
-            ingest_shard(shard.as_ref(), opts, limits, policy, obs, &mut merge);
-        }
-        drop(ingest_span);
-        emit_ingest_metrics(&merge.report, obs);
+        let merge = ingest_shards(shards, opts, limits, policy, obs);
         let corpus = Self::finish(
             merge.dict,
             merge.pc_counts,
@@ -579,6 +573,32 @@ impl IngestMerge {
             }
         }
     }
+}
+
+/// Ingest every shard, in order, into one [`IngestMerge`] under an
+/// `ingest` span, then emit the `ingest.*` outcome counters: the ingest
+/// stage of [`FormPageCorpus::from_shards`], which
+/// [`run_bench`](crate::run_bench) times apart from vectorizing.
+pub(crate) fn ingest_shards<I, S, P>(
+    shards: I,
+    opts: &ModelOptions,
+    limits: &IngestLimits,
+    policy: ExecPolicy,
+    obs: &Obs,
+) -> IngestMerge
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<[P]>,
+    P: AsRef<str> + Sync,
+{
+    let ingest_span = obs.span("ingest");
+    let mut merge = IngestMerge::new(limits);
+    for shard in shards {
+        ingest_shard(shard.as_ref(), opts, limits, policy, obs, &mut merge);
+    }
+    drop(ingest_span);
+    emit_ingest_metrics(&merge.report, obs);
+    merge
 }
 
 /// Ingest one contiguous run of pages — chunked by

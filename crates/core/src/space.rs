@@ -268,7 +268,7 @@ impl ClusterSpace for FormPageSpace<'_> {
     /// [`ClusterSpace::similarity`] for a run of items, bit for bit: the
     /// centroid's three vectors are scattered once, and each item's
     /// per-space cosines gather over its own entries (see
-    /// [`Scattered::cosine`]), so a similarity costs the item's entries
+    /// `Scattered::cosine`), so a similarity costs the item's entries
     /// rather than a merge with the whole centroid.
     fn similarities(&self, centroid: &MultiCentroid, items: Range<usize>, out: &mut [f64]) {
         let (pc, fc, anchor) = (

@@ -3,7 +3,7 @@
 //! The batch pipeline parses, vectorizes, and clusters a finished corpus in
 //! one shot. [`StreamCorpus`] instead absorbs pages *as the crawler finds
 //! them*: each arrival is fed chunk-by-chunk through the incremental HTML
-//! parser, vectorized against the live [`TermDict`] with the corpus's
+//! parser, vectorized against the live [`TermDict`](cafc_text::TermDict) with the corpus's
 //! per-space collection statistics (updated per arrival, so streamed
 //! vectors stay on the batch scale), appended to the corpus, and assigned
 //! to the nearest existing cluster centroid immediately — the paper's §5

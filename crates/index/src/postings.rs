@@ -9,11 +9,12 @@
 //! ranking, never differently-scored documents.
 
 use crate::bm25::{bm25_idf, Bm25Params};
-use cafc_exec::{par_chunks_obs, par_reduce, ExecPolicy};
+use cafc_exec::{par_chunks_obs, ExecPolicy};
 use cafc_obs::Obs;
 use cafc_text::TermId;
 use cafc_vsm::SparseVector;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Documents per partial sum of the `avgdl` reduction. Fixed (never
 /// derived from the thread count) so the float sum is identical under
@@ -53,7 +54,7 @@ pub struct ScanStats {
 
 /// Per-cluster postings in CSR form: `terms` ascending, and `terms[i]`'s
 /// postings are `postings[offsets[i]..offsets[i + 1]]`, ascending by doc.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Shard {
     terms: Vec<TermId>,
     offsets: Vec<usize>,
@@ -65,6 +66,15 @@ impl Shard {
     /// term's positive entries, lay the terms out in order, then place
     /// each posting at its term's cursor. `num_terms` bounds the term ids.
     fn build(docs_tf: &[SparseVector], docs: &[usize], num_terms: usize) -> Shard {
+        if docs.is_empty() {
+            // What the sort below makes of no documents, without the
+            // counter per term id: a tail often leaves shards empty.
+            return Shard {
+                terms: Vec::new(),
+                offsets: vec![0],
+                postings: Vec::new(),
+            };
+        }
         let positive = |doc: usize| docs_tf[doc].entries().iter().filter(|&&(_, tf)| tf > 0.0);
         // Per term id: its posting count, then its next free position.
         let mut slot = vec![0usize; num_terms];
@@ -110,15 +120,46 @@ impl Shard {
     }
 }
 
-/// The inverted index: cluster-sharded postings plus global collection
-/// statistics. Build with [`InvertedIndex::build`].
-#[derive(Debug, Clone)]
-pub struct InvertedIndex {
+/// The documents `0..doc_len.len()` of an index, built once and shared by
+/// every generation that extends it: their per-shard postings and the
+/// statistics an extension starts from.
+#[derive(Debug, Default, PartialEq)]
+struct Base {
     shards: Vec<Shard>,
+    /// Document frequency over the base's documents, indexed by term id.
+    df: Vec<u32>,
+    /// Document length of each base document.
+    doc_len: Vec<f64>,
+    /// `doc_len` summed over each complete `DOC_CHUNK`-document chunk.
+    chunk_sums: Vec<f64>,
+}
+
+/// The inverted index: cluster-sharded postings plus global collection
+/// statistics. Build with [`InvertedIndex::build`]; grow with
+/// [`InvertedIndex::extend`].
+///
+/// Postings come in two parts. The **base**, shared between generations,
+/// holds the documents of the last full build; the **tail** holds the
+/// documents after them, rebuilt by the same counting sort at each
+/// extension. A tail document's id is above every base id, so a shard's
+/// postings for a term, base then tail, ascend by doc id as one full
+/// build's do. A full build is a tail over every document made the base.
+/// The statistics are per-generation copies, so a query reads them as it
+/// would from a full build.
+#[derive(Debug, Clone, Default)]
+pub struct InvertedIndex {
+    base: Arc<Base>,
+    /// Per-shard postings of the documents after the base; empty after a
+    /// full build.
+    tail: Vec<Shard>,
+    num_shards: usize,
     /// Global document frequency, indexed by term id.
     df: Vec<u32>,
     /// Global document length (total indexed tf mass), indexed by doc id.
     doc_len: Vec<f64>,
+    /// `doc_len` summed over each `DOC_CHUNK`-document chunk, the last one
+    /// possibly partial.
+    chunk_sums: Vec<f64>,
     /// Mean document length (0.0 for an empty collection).
     avgdl: f64,
 }
@@ -133,29 +174,56 @@ impl InvertedIndex {
     /// Each shard is a two-pass counting sort of its documents into CSR
     /// layout, one work unit per shard under `policy`; postings are
     /// ascending by doc id, so the index is bit-identical under every
-    /// policy. `avgdl` sums document lengths over fixed `DOC_CHUNK`s.
-    /// Instrumentation (when `obs` is enabled): per-shard `index.build.*`
-    /// metrics plus gauges `index.shards`, `index.terms` and
-    /// `index.postings`.
+    /// policy. `avgdl` sums document lengths over fixed `DOC_CHUNK`s,
+    /// merged left to right. Instrumentation (when `obs` is enabled):
+    /// per-shard `index.build.*` metrics plus gauges `index.shards`,
+    /// `index.terms` and `index.postings`.
     pub fn build(
         docs_tf: &[SparseVector],
         clusters: &[Vec<usize>],
         policy: ExecPolicy,
         obs: &Obs,
     ) -> InvertedIndex {
-        let n = docs_tf.len();
-        let mut doc_shard: Vec<u32> = vec![u32::MAX; n];
+        let mut index = InvertedIndex::default().extend(docs_tf, clusters, policy, obs);
+        index.promote();
+        index
+    }
+
+    /// The index [`InvertedIndex::build`] makes of `docs_tf` and
+    /// `clusters`, at the cost of the documents after this index's base:
+    /// the base is shared, and the tail is rebuilt over
+    /// `docs_tf[self.base_docs()..]`. Same policy, metrics and gauges as
+    /// `build`.
+    ///
+    /// Bit-equal to the full build when the input extends the base, which
+    /// the caller proves: `docs_tf` starts with the base's documents, and
+    /// `clusters` has as many clusters as the base was built with, each
+    /// listing its base members first and then only documents after the
+    /// base. Document frequencies are integers; each document's length is
+    /// the same fold; `avgdl` merges the base's cached chunk sums and the
+    /// chunks from the base's last complete one on, left to right, as the
+    /// full build's reduction does.
+    pub fn extend(
+        &self,
+        docs_tf: &[SparseVector],
+        clusters: &[Vec<usize>],
+        policy: ExecPolicy,
+        obs: &Obs,
+    ) -> InvertedIndex {
+        let first = self.base_docs();
+        let tail_docs = docs_tf.get(first..).unwrap_or_default();
+        let mut doc_shard: Vec<u32> = vec![u32::MAX; tail_docs.len()];
         for (ci, members) in clusters.iter().enumerate() {
             for &m in members {
-                if m < n {
-                    doc_shard[m] = ci as u32;
+                if let Some(shard) = m.checked_sub(first).and_then(|i| doc_shard.get_mut(i)) {
+                    *shard = ci as u32;
                 }
             }
         }
         let overflow = clusters.len() as u32;
-        let mut num_shards = clusters.len();
+        let mut num_shards = clusters.len().max(self.base.shards.len());
         if doc_shard.contains(&u32::MAX) {
-            num_shards += 1;
+            num_shards = num_shards.max(clusters.len() + 1);
             for s in &mut doc_shard {
                 if *s == u32::MAX {
                     *s = overflow;
@@ -165,62 +233,104 @@ impl InvertedIndex {
         // Bucketing in doc order keeps every shard's document list
         // ascending, whatever order the member lists came in.
         let mut shard_docs: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (doc, &shard) in doc_shard.iter().enumerate() {
-            shard_docs[shard as usize].push(doc);
+        for (i, &shard) in doc_shard.iter().enumerate() {
+            shard_docs[shard as usize].push(first + i);
         }
-        let num_terms = docs_tf
+        let num_terms = tail_docs
             .iter()
             .filter_map(|v| v.entries().last())
             .map(|&(term, _)| term.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let shards: Vec<Shard> =
-            par_chunks_obs(policy, num_shards, 1, obs, "index.build", |range| {
-                range
-                    .map(|s| Shard::build(docs_tf, &shard_docs[s], num_terms))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            .fold(self.base.df.len(), usize::max);
+        let tail: Vec<Shard> = par_chunks_obs(policy, num_shards, 1, obs, "index.build", |range| {
+            range
+                .map(|s| Shard::build(docs_tf, &shard_docs[s], num_terms))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-        let mut df: Vec<u32> = vec![0; num_terms];
-        for shard in &shards {
+        let mut df = self.base.df.clone();
+        df.resize(num_terms, 0);
+        for shard in &tail {
             for (i, &term) in shard.terms.iter().enumerate() {
                 df[term.index()] += (shard.offsets[i + 1] - shard.offsets[i]) as u32;
             }
         }
-        let doc_len: Vec<f64> = docs_tf
-            .iter()
-            .map(|v| {
-                v.entries()
-                    .iter()
-                    .filter(|&&(_, tf)| tf > 0.0)
-                    .fold(0.0, |len, &(_, tf)| len + tf)
-            })
-            .collect();
-        let total_postings: usize = shards.iter().map(|s| s.postings.len()).sum();
+        let mut doc_len = Vec::with_capacity(first + tail_docs.len());
+        doc_len.extend_from_slice(&self.base.doc_len);
+        doc_len.extend(tail_docs.iter().map(|v| {
+            v.entries()
+                .iter()
+                .filter(|&&(_, tf)| tf > 0.0)
+                .fold(0.0, |len, &(_, tf)| len + tf)
+        }));
+        // Fixed-chunk sums merged left to right -> the same float under
+        // every policy and for every base size.
+        let mut chunk_sums = self.base.chunk_sums.clone();
+        let from = chunk_sums.len() * DOC_CHUNK;
+        chunk_sums.extend(
+            doc_len[from..]
+                .chunks(DOC_CHUNK)
+                .map(|chunk| chunk.iter().sum::<f64>()),
+        );
+        let n = doc_len.len();
+        let total_len = chunk_sums.iter().copied().reduce(|a, b| a + b);
+        let avgdl = match total_len {
+            Some(total) if n > 0 => total / n as f64,
+            _ => 0.0,
+        };
 
-        // Fixed-chunk reduction -> the same float sum under every policy.
-        let total_len = par_reduce(
-            policy,
-            n,
-            DOC_CHUNK,
-            |range| range.map(|d| doc_len[d]).sum::<f64>(),
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0);
-        let avgdl = if n > 0 { total_len / n as f64 } else { 0.0 };
-
-        obs.gauge("index.shards", num_shards as f64);
-        obs.gauge("index.terms", df.iter().filter(|&&d| d > 0).count() as f64);
-        obs.gauge("index.postings", total_postings as f64);
-        InvertedIndex {
-            shards,
+        let index = InvertedIndex {
+            base: Arc::clone(&self.base),
+            tail,
+            num_shards,
             df,
             doc_len,
+            chunk_sums,
             avgdl,
+        };
+        obs.gauge("index.shards", num_shards as f64);
+        obs.gauge(
+            "index.terms",
+            index.df.iter().filter(|&&d| d > 0).count() as f64,
+        );
+        obs.gauge("index.postings", index.num_postings() as f64);
+        index
+    }
+
+    /// Make the tail the base: what completes a full build, whose base is
+    /// empty until then.
+    fn promote(&mut self) {
+        debug_assert_eq!(self.base_docs(), 0, "only a full build promotes");
+        let complete = self.doc_len.len() / DOC_CHUNK;
+        self.base = Arc::new(Base {
+            shards: std::mem::take(&mut self.tail),
+            df: self.df.clone(),
+            doc_len: self.doc_len.clone(),
+            chunk_sums: self.chunk_sums[..complete].to_vec(),
+        });
+    }
+
+    /// Number of documents in the base, which [`InvertedIndex::extend`]
+    /// shares rather than rebuilds.
+    pub fn base_docs(&self) -> usize {
+        self.base.doc_len.len()
+    }
+
+    /// A shard's postings for `term` in the base, then in the tail, each
+    /// ascending by doc id and empty when absent.
+    fn parts(&self, shard: usize, term: TermId) -> [&[Posting]; 2] {
+        fn part(shards: &[Shard], shard: usize, term: TermId) -> &[Posting] {
+            shards
+                .get(shard)
+                .and_then(|s| s.get(term))
+                .unwrap_or_default()
         }
+        [
+            part(&self.base.shards, shard, term),
+            part(&self.tail, shard, term),
+        ]
     }
 
     /// Number of documents in the collection.
@@ -231,21 +341,23 @@ impl InvertedIndex {
     /// Number of shards (clusters, plus a trailing overflow shard when the
     /// cluster lists did not cover every document).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.num_shards
     }
 
     /// Total postings stored across all shards.
     pub fn num_postings(&self) -> usize {
-        self.shards.iter().map(|s| s.postings.len()).sum()
+        self.base
+            .shards
+            .iter()
+            .chain(&self.tail)
+            .map(|s| s.postings.len())
+            .sum()
     }
 
     /// A term's postings in one shard, ascending by doc id; empty when
     /// the shard or the term is absent.
-    pub fn postings(&self, shard: usize, term: TermId) -> &[Posting] {
-        self.shards
-            .get(shard)
-            .and_then(|s| s.get(term))
-            .unwrap_or_default()
+    pub fn postings(&self, shard: usize, term: TermId) -> Vec<Posting> {
+        self.parts(shard, term).concat()
     }
 
     /// Global document frequency of a term.
@@ -265,7 +377,7 @@ impl InvertedIndex {
 
     /// The trivial visit order: every shard, in shard order. A full scan.
     pub fn full_order(&self) -> Vec<usize> {
-        (0..self.shards.len()).collect()
+        (0..self.num_shards).collect()
     }
 
     /// Sorted, deduplicated copy of a query's term ids — the canonical
@@ -305,21 +417,22 @@ impl InvertedIndex {
             if budget.is_some_and(|b| stats.postings_scanned >= b) {
                 break;
             }
-            let Some(shard) = self.shards.get(si) else {
+            if si >= self.num_shards {
                 continue;
-            };
+            }
             stats.clusters_visited += 1;
             // Outer loop over terms in ascending order: each document
             // accumulates its term contributions in that fixed order, the
-            // same order the doc-at-a-time reference uses.
+            // same order the doc-at-a-time reference uses. A document is in
+            // the base or in the tail, never both.
             for (&term, &idf) in query.iter().zip(&idf) {
-                let Some(postings) = shard.get(term) else {
-                    continue;
-                };
-                stats.postings_scanned += postings.len();
-                for p in postings {
-                    let s = params.score_term(p.tf, idf, self.doc_len(p.doc as usize), self.avgdl);
-                    *acc.entry(p.doc).or_insert(0.0) += s;
+                for postings in self.parts(si, term) {
+                    stats.postings_scanned += postings.len();
+                    for p in postings {
+                        let s =
+                            params.score_term(p.tf, idf, self.doc_len(p.doc as usize), self.avgdl);
+                        *acc.entry(p.doc).or_insert(0.0) += s;
+                    }
                 }
             }
         }
@@ -386,16 +499,15 @@ impl InvertedIndex {
             if budget.is_some_and(|b| stats.postings_scanned >= b) {
                 break;
             }
-            let Some(shard) = self.shards.get(si) else {
+            if si >= self.num_shards {
                 continue;
-            };
+            }
             stats.clusters_visited += 1;
             for &term in &query {
-                let Some(postings) = shard.get(term) else {
-                    continue;
-                };
-                stats.postings_scanned += postings.len();
-                docs.extend(postings.iter().map(|p| p.doc as usize));
+                for postings in self.parts(si, term) {
+                    stats.postings_scanned += postings.len();
+                    docs.extend(postings.iter().map(|p| p.doc as usize));
+                }
             }
         }
         docs.sort_unstable();
@@ -584,7 +696,109 @@ mod tests {
                 baseline.avgdl.to_bits(),
                 "{policy:?}"
             );
-            assert_eq!(index.shards, baseline.shards, "{policy:?}");
+            assert_eq!(index.base, baseline.base, "{policy:?}");
+        }
+    }
+
+    /// Every part of two indexes a query can read, bit for bit: shard
+    /// count, df, document lengths, `avgdl`, each (shard, term)'s postings,
+    /// and BM25 hits and scan stats over every shard order of two.
+    fn assert_same(a: &InvertedIndex, b: &InvertedIndex, num_terms: u32, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.num_shards(), b.num_shards(), "{what}");
+        assert_eq!(a.df, b.df, "{what}");
+        assert_eq!(bits(&a.doc_len), bits(&b.doc_len), "{what}");
+        assert_eq!(a.avgdl.to_bits(), b.avgdl.to_bits(), "{what}");
+        assert_eq!(a.num_postings(), b.num_postings(), "{what}");
+        for shard in 0..a.num_shards() {
+            for term in 0..num_terms {
+                assert_eq!(
+                    a.postings(shard, t(term)),
+                    b.postings(shard, t(term)),
+                    "{what}"
+                );
+            }
+        }
+        let params = Bm25Params::new();
+        let mut orders = vec![a.full_order()];
+        orders.extend((0..a.num_shards()).map(|s| vec![s, (s + 1) % a.num_shards()]));
+        for query in [
+            vec![t(0)],
+            vec![t(3), t(21), t(40)],
+            vec![t(43), t(44)],
+            vec![t(99)],
+        ] {
+            for order in &orders {
+                for budget in [None, Some(5)] {
+                    let (ha, sa) = a.search_bm25(&query, 10, order, budget, &params);
+                    let (hb, sb) = b.search_bm25(&query, 10, order, budget, &params);
+                    let scores = |h: &[Hit]| {
+                        h.iter()
+                            .map(|h| (h.doc, h.score.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(scores(&ha), scores(&hb), "{what} {query:?} {order:?}");
+                    assert_eq!(sa, sb, "{what} {query:?} {order:?}");
+                    assert_eq!(
+                        a.candidates(&query, order, budget),
+                        b.candidates(&query, order, budget)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extending_equals_building_afresh() {
+        // Later documents use terms (43, 44) that early ones never do, and
+        // the sizes cross `DOC_CHUNK` boundaries.
+        let docs: Vec<SparseVector> = (0..200)
+            .map(|i| {
+                vector(&[
+                    (i % 17, 1.0 + f64::from(i % 3) * 0.1),
+                    (i % 5 + 20, 0.3),
+                    (40 + i / 50, 1.0),
+                ])
+            })
+            .collect();
+        // Cluster layouts over the first `n` documents, each listing the
+        // first `base` documents' members first: four interleaved clusters;
+        // a base covered in full whose later odd documents are not (an
+        // overflow shard only the tail needs); and a base whose documents
+        // 2 mod 3 are never covered (an overflow shard from the base on).
+        type Layout = fn(usize, usize) -> Vec<Vec<usize>>;
+        let layouts: [(&str, Layout); 3] = [
+            ("interleaved", |n, _| {
+                (0..4)
+                    .map(|c| (0..n).filter(|d| d % 4 == c).collect())
+                    .collect()
+            }),
+            ("tail overflow", |n, base| {
+                vec![(0..n).filter(|&d| d < base || d % 2 == 0).collect()]
+            }),
+            ("base overflow", |n, _| {
+                vec![
+                    (0..n).filter(|d| d % 3 == 0).collect(),
+                    (0..n).filter(|d| d % 3 == 1).collect(),
+                ]
+            }),
+        ];
+        for (name, layout) in layouts {
+            for base_n in [0, 1, 63, 64, 65, 130] {
+                let base = build(&docs[..base_n], &layout(base_n, base_n));
+                for n in [base_n, base_n + 1, base_n + 17, 200] {
+                    let clusters = layout(n, base_n);
+                    for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
+                        let extended = base.extend(&docs[..n], &clusters, policy, &Obs::disabled());
+                        let fresh =
+                            InvertedIndex::build(&docs[..n], &clusters, policy, &Obs::disabled());
+                        assert_eq!(extended.base_docs(), base_n);
+                        assert_eq!(fresh.base_docs(), n);
+                        let what = format!("{name}: base {base_n}, {n} docs, {policy:?}");
+                        assert_same(&extended, &fresh, 50, &what);
+                    }
+                }
+            }
         }
     }
 

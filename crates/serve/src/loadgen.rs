@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cafc::{FormPageCorpus, Obs, SearchIndex};
+use cafc::{IndexDict, Obs, SearchIndex};
 use cafc_check::rng::Seed;
 use cafc_text::{Analyzer, TermDict};
 
@@ -164,18 +164,13 @@ pub struct QueryMix {
 }
 
 impl QueryMix {
-    /// Build the mix from a corpus.
-    pub fn from_corpus(corpus: &FormPageCorpus, vocab: usize) -> QueryMix {
-        QueryMix::build(&corpus.dict, &corpus.pc_tf, vocab)
-    }
-
-    /// Build the mix from an already-built [`SearchIndex`] (the index owns
-    /// clones of the corpus spaces).
+    /// Build the mix from an already-built [`SearchIndex`]: its dictionary
+    /// and the corpus's page-content term frequencies it holds.
     pub fn from_index(index: &SearchIndex, vocab: usize) -> QueryMix {
         QueryMix::build(index.dict(), index.docs_tf(), vocab)
     }
 
-    fn build(dict: &TermDict, docs: &[cafc_vsm::SparseVector], vocab: usize) -> QueryMix {
+    fn build(dict: &IndexDict, docs: &[cafc_vsm::SparseVector], vocab: usize) -> QueryMix {
         let analyzer = Analyzer::default();
         let mut cf = vec![0.0f64; dict.len()];
         for doc in docs {
@@ -244,7 +239,7 @@ impl QueryMix {
 }
 
 /// Does analyzing `term` yield exactly `term`'s own id back?
-fn round_trips(analyzer: &Analyzer, dict: &TermDict, term: &str) -> bool {
+fn round_trips(analyzer: &Analyzer, dict: &IndexDict, term: &str) -> bool {
     let mut probe = TermDict::new();
     let analyzed = analyzer.analyze(term, &mut probe);
     analyzed.len() == 1 && dict.get(probe.term(analyzed[0])).map(|id| dict.term(id)) == Some(term)
@@ -514,7 +509,7 @@ fn timed_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cafc::{ExecPolicy, ModelOptions, Partition, SearchConfig, SearchPipeline};
+    use cafc::{ExecPolicy, FormPageCorpus, ModelOptions, Partition, SearchConfig, SearchPipeline};
 
     fn pages() -> Vec<String> {
         (0..12)

@@ -5,6 +5,7 @@
 //! and keeps each term's bytes stored exactly once for the whole corpus.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense identifier of an interned term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,7 +20,8 @@ impl TermId {
 
 /// An interner mapping terms to dense ids, assigned in first-intern order.
 /// [`TermDict::truncate`] can forget a suffix of them; ids below the cut
-/// never change.
+/// never change. Each term's bytes are one shared allocation, which a
+/// clone of the dictionary shares (see [`TermDict::shares_prefix`]).
 ///
 /// It also keeps a private memo for [`Analyzer`](crate::Analyzer): surface
 /// token → the term id analysis gave it, or `None` when analysis dropped
@@ -32,8 +34,8 @@ impl TermId {
 /// terms starts with an empty one.
 #[derive(Debug, Default, Clone)]
 pub struct TermDict {
-    by_term: HashMap<String, TermId>,
-    terms: Vec<String>,
+    by_term: HashMap<Arc<str>, TermId>,
+    terms: Vec<Arc<str>>,
     memo: HashMap<Box<str>, Option<TermId>>,
     memo_flags: Option<(bool, bool)>,
 }
@@ -50,8 +52,9 @@ impl TermDict {
             return id;
         }
         let id = TermId(u32::try_from(self.terms.len()).expect("fewer than 4Gi distinct terms"));
-        self.terms.push(term.to_owned());
-        self.by_term.insert(term.to_owned(), id);
+        let term: Arc<str> = term.into();
+        self.terms.push(Arc::clone(&term));
+        self.by_term.insert(term, id);
         id
     }
 
@@ -86,10 +89,28 @@ impl TermDict {
             return;
         }
         for term in self.terms.drain(len..) {
-            self.by_term.remove(&term);
+            self.by_term.remove(&*term);
         }
         self.memo
             .retain(|_, term| term.is_none_or(|id| id.index() < len));
+    }
+
+    /// True when the first `len` terms of `self` are provably those of
+    /// `other`: both hold term `len - 1` in the same allocation (vacuously
+    /// true for `len == 0`). A dictionary only appends and truncates, and
+    /// interning always allocates, so that allocation sits at id `len - 1`
+    /// only in the dictionary that interned it and in clones of it that
+    /// were never truncated below `len`, which all share the ids before it.
+    /// Both hold the allocation, so its address cannot be reused by another
+    /// term meanwhile. O(1): one pointer comparison.
+    pub fn shares_prefix(&self, other: &TermDict, len: usize) -> bool {
+        let Some(last) = len.checked_sub(1) else {
+            return true;
+        };
+        match (self.terms.get(last), other.terms.get(last)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Make the memo valid for analysis under `flags`
@@ -116,7 +137,7 @@ impl TermDict {
         self.terms
             .iter()
             .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t.as_str())) // ids assigned as u32 in intern
+            .map(|(i, t)| (TermId(i as u32), &**t)) // ids assigned as u32 in intern
     }
 }
 
@@ -173,6 +194,28 @@ mod tests {
         assert_eq!(d.memo_get("as"), None);
         assert_eq!(d.memo_get("the"), Some(None));
         assert_eq!(d.intern("c"), TermId(1));
+    }
+
+    #[test]
+    fn clones_share_a_prefix_until_truncated_below_it() {
+        let mut d = TermDict::new();
+        d.intern("a");
+        d.intern("b");
+        let mut clone = d.clone();
+        clone.intern("c");
+        assert!(clone.shares_prefix(&d, 2));
+        assert!(clone.shares_prefix(&d, 0));
+        assert!(!clone.shares_prefix(&d, 3), "d has no third term");
+        // The same terms interned afresh are other allocations.
+        let mut fresh = TermDict::new();
+        fresh.intern("a");
+        fresh.intern("b");
+        assert!(!fresh.shares_prefix(&d, 2));
+        // Cut below the prefix and refilled with the same term: not proven.
+        clone.truncate(1);
+        clone.intern("b");
+        assert!(!clone.shares_prefix(&d, 2));
+        assert!(clone.shares_prefix(&d, 1));
     }
 
     #[test]

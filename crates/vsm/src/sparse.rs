@@ -3,21 +3,30 @@
 //! The invariant — entries strictly sorted by term id, no zero weights — is
 //! maintained by construction, which lets [`SparseVector::dot`] run as a
 //! linear merge and keeps cosine similarity O(nnz(a) + nnz(b)).
+//!
+//! A vector never changes once built, so its entries live in one
+//! reference-counted allocation: a clone shares them. Cloning a corpus, or
+//! handing its vectors to a search index, copies a pointer per vector,
+//! never the entries.
 
 use cafc_text::TermId;
+use std::sync::Arc;
 
 /// An immutable sparse vector over term ids.
+///
+/// Equality, `Debug` and [`SparseVector::heap_bytes`] read the entries, so
+/// a clone compares, prints and counts as the vector it shares them with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseVector {
     /// `(term, weight)` entries, strictly sorted by term; weights non-zero.
-    entries: Vec<(TermId, f64)>,
+    entries: Arc<[(TermId, f64)]>,
     /// Euclidean norm of `entries`, computed once at construction.
     norm: f64,
 }
 
 impl Default for SparseVector {
     fn default() -> Self {
-        SparseVector::new(Vec::new())
+        SparseVector::new(Arc::new([]))
     }
 }
 
@@ -29,8 +38,10 @@ impl SparseVector {
 
     /// Freeze `entries` (already in canonical form), computing the norm
     /// once: the vector is immutable, so every later [`SparseVector::norm`]
-    /// is this one fold's bits.
-    fn new(entries: Vec<(TermId, f64)>) -> Self {
+    /// is this one fold's bits. Entries collected straight into the `Arc`
+    /// from an iterator of known length are written once; a `Vec` is
+    /// copied.
+    fn new(entries: Arc<[(TermId, f64)]>) -> Self {
         let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
         SparseVector { entries, norm }
     }
@@ -48,23 +59,29 @@ impl SparseVector {
             }
         }
         merged.retain(|(_, w)| *w != 0.0);
-        SparseVector::new(merged)
+        SparseVector::new(merged.into())
     }
 
     /// Build from entries already strictly sorted by term id, dropping zero
     /// and non-finite weights: [`SparseVector::from_entries`] without its
-    /// sort and merge. The entries are shrunk to fit, since a corpus keeps
-    /// its vectors for its whole life.
+    /// sort and merge. The entries are stored exactly, with no spare
+    /// capacity, since a corpus keeps its vectors for its whole life.
     pub(crate) fn from_sorted(mut entries: Vec<(TermId, f64)>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         entries.retain(|&(_, w)| w.is_finite() && w != 0.0);
-        entries.shrink_to_fit();
-        SparseVector::new(entries)
+        SparseVector::new(entries.into())
     }
 
     /// Entries, strictly sorted by term id.
     pub fn entries(&self) -> &[(TermId, f64)] {
         &self.entries
+    }
+
+    /// True when `self` and `other` share one allocation of entries: one
+    /// is a clone of the other, or both are clones of a third. Such vectors
+    /// are equal, norm included, since a vector never changes.
+    pub fn shares_entries(&self, other: &SparseVector) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Number of non-zero entries.
@@ -87,11 +104,12 @@ impl SparseVector {
 
     /// Dot product by linear merge.
     pub fn dot(&self, other: &SparseVector) -> f64 {
+        let (a, b) = (self.entries(), other.entries());
         let (mut i, mut j) = (0, 0);
         let mut acc = 0.0;
-        while i < self.entries.len() && j < other.entries.len() {
-            let (ta, wa) = self.entries[i];
-            let (tb, wb) = other.entries[j];
+        while i < a.len() && j < b.len() {
+            let (ta, wa) = a[i];
+            let (tb, wb) = b[j];
             match ta.cmp(&tb) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
@@ -131,11 +149,12 @@ impl SparseVector {
 
     /// Element-wise sum.
     pub fn add(&self, other: &SparseVector) -> SparseVector {
-        let mut out = Vec::with_capacity(self.entries.len() + other.entries.len());
+        let (a, b) = (self.entries(), other.entries());
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < other.entries.len() {
-            let (ta, wa) = self.entries[i];
-            let (tb, wb) = other.entries[j];
+        while i < a.len() && j < b.len() {
+            let (ta, wa) = a[i];
+            let (tb, wb) = b[j];
             match ta.cmp(&tb) {
                 std::cmp::Ordering::Less => {
                     out.push((ta, wa));
@@ -155,9 +174,9 @@ impl SparseVector {
                 }
             }
         }
-        out.extend_from_slice(&self.entries[i..]);
-        out.extend_from_slice(&other.entries[j..]);
-        SparseVector::new(out)
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        SparseVector::new(out.into())
     }
 
     /// The element-wise sum of a set of vectors (empty for an empty set).
@@ -183,7 +202,7 @@ impl SparseVector {
                     present.resize(last.index() + 1, false);
                 }
             }
-            for &(t, w) in &v.entries {
+            for &(t, w) in v.entries() {
                 let i = t.index();
                 if present[i] {
                     let s = sums[i] + w;
@@ -202,13 +221,8 @@ impl SparseVector {
         // A term that cancelled out and came back was pushed twice.
         touched.sort_unstable();
         touched.dedup();
-        SparseVector::new(
-            touched
-                .into_iter()
-                .filter(|t| present[t.index()])
-                .map(|t| (t, sums[t.index()]))
-                .collect(),
-        )
+        touched.retain(|t| present[t.index()]);
+        SparseVector::new(touched.iter().map(|&t| (t, sums[t.index()])).collect())
     }
 
     /// The centroid (arithmetic mean, Equation 4) of a set of vectors:
@@ -237,7 +251,7 @@ impl SparseVector {
 
     /// The `k` highest-weighted terms, descending by weight (ties by id).
     pub fn top_terms(&self, k: usize) -> Vec<(TermId, f64)> {
-        let mut v = self.entries.clone();
+        let mut v = self.entries.to_vec();
         v.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -393,6 +407,30 @@ mod tests {
     fn scale_by_zero_is_empty() {
         let v = vec_of(&[(1, 1.0)]);
         assert!(v.scale(0.0).is_empty());
+    }
+
+    #[test]
+    fn clones_share_entries_and_read_as_the_original() {
+        let v = vec_of(&[(1, 0.5), (4, 2.0), (9, -1.25)]);
+        let copy = v.clone();
+        assert!(copy.shares_entries(&v));
+        assert_eq!(copy, v);
+        assert_eq!(format!("{copy:?}"), format!("{v:?}"));
+        assert_eq!(copy.heap_bytes(), v.heap_bytes());
+        assert_eq!(copy.norm().to_bits(), v.norm().to_bits());
+        // An equal vector built on its own has its own entries.
+        let rebuilt = vec_of(&[(1, 0.5), (4, 2.0), (9, -1.25)]);
+        assert_eq!(rebuilt, v);
+        assert!(!rebuilt.shares_entries(&v));
+        // The printed form is the entry list's, as when it was a `Vec`.
+        assert_eq!(
+            format!("{v:?}"),
+            format!(
+                "SparseVector {{ entries: {:?}, norm: {:?} }}",
+                v.entries().to_vec(),
+                v.norm()
+            )
+        );
     }
 
     #[test]

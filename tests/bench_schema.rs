@@ -18,6 +18,10 @@
 //! * `BENCH_16.json` — the BENCH_15 schema as `tools/bench-pairs.sh`
 //!   writes it: a summary line per workload and end-to-end metric, and
 //!   the 10^5 pair at one thread;
+//! * `BENCH_19.json` — ten pairs on each workload with their summary
+//!   lines, and one traced seed-10 stream pair with the self time of the
+//!   publish's `index.build` and `index.publish` spans and of
+//!   `stream.arrival`;
 //! * digest determinism — two same-config `run_bench` calls render
 //!   byte-identical digests, the property the CI `bench-smoke` job diffs
 //!   end to end through the CLI.
@@ -325,9 +329,40 @@ fn bench_16_keeps_the_pairs_trace_and_scale_schema() {
     let doc = committed("BENCH_16.json");
     let threads = require_pairs_trace_and_scale(&doc);
     assert_eq!(threads, 1.0, "the 10^5 pair runs at one thread");
-    // One summary line per (workload, end-to-end metric), as
-    // tools/bench-pairs.sh prints it.
-    let summary = array_of(&doc, "summary");
+    require_summary(&doc);
+}
+
+#[test]
+fn bench_19_keeps_the_pairs_and_stream_trace_schema() {
+    let doc = committed("BENCH_19.json");
+    let runs = require_pairs(&doc);
+    for workload in ["batch", "serve-keyword", "stream"] {
+        assert!(
+            count(runs, workload, "change") >= 10,
+            "fewer than ten {workload} pairs"
+        );
+    }
+    require_summary(&doc);
+    let traced = array_of(&doc, "trace_stream_seed_10");
+    for side in ["parent", "change"] {
+        let run = traced
+            .iter()
+            .find(|run| run.get("side").and_then(Value::as_str) == Some(side))
+            .unwrap_or_else(|| panic!("no traced {side} run"));
+        require_key(run, "run_order", Kind::Uint);
+        assert_eq!(number_of(run, "seed"), 10.0, "traced pair at seed 10");
+        require_key(run, "last_line", Kind::Object);
+        let self_time = require_key(run, "self_time_ms", Kind::Object);
+        for span in ["index.build", "index.publish", "stream.arrival"] {
+            require_key(self_time, span, Kind::Number);
+        }
+    }
+}
+
+/// One summary line per (workload, end-to-end metric), as
+/// `tools/bench-pairs.sh` prints it.
+fn require_summary(doc: &Value) {
+    let summary = array_of(doc, "summary");
     for workload in ["batch", "serve-keyword", "stream"] {
         for metric in [
             "setup_s",
