@@ -2,8 +2,8 @@
 //! verdict.
 //!
 //! The repo carries several pairs of code paths that are contractually
-//! equivalent — the `Pipeline` front door vs the free functions it wires,
-//! `ExecPolicy::Serial` vs `Parallel { k }`, metrics-on vs metrics-off —
+//! equivalent — `ExecPolicy::Serial` vs `Parallel { k }`, metrics-on vs
+//! metrics-off, the raw vs the hardened ingest of clean pages —
 //! plus accounting identities that must survive arbitrary input
 //! (`ok + degraded + quarantined == total`). [`check_equiv`] pins such a
 //! pair on *generated* corpora: both sides run on every case, any

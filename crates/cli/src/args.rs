@@ -146,15 +146,7 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Known boolean switches (present or absent, no value).
-const SWITCH_FLAGS: &[&str] = &[
-    "auto-k",
-    "sweep",
-    "trace",
-    "write-seeds",
-    "ab",
-    "resume",
-    "no-routing",
-];
+const SWITCH_FLAGS: &[&str] = &["auto-k", "sweep", "trace", "write-seeds", "ab", "resume"];
 
 impl Args {
     /// Parse a raw argument list (without the program/subcommand names).
@@ -451,7 +443,6 @@ mod tests {
         let a = parse(&["--budget", "many"]);
         let err = a.get_count_usize("budget", 1).expect_err("non-numeric");
         assert!(err.contains("--budget"), "{err}");
-        assert!(parse(&["--no-routing"]).has("no-routing"));
     }
 
     #[test]

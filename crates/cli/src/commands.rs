@@ -370,7 +370,7 @@ fn print_quality(clusters: &[Vec<usize>], labels: &[String]) {
     );
 }
 
-/// The `--rank`/`--no-routing`/`--budget`/`--limit` quadruple as a
+/// The `--rank`/`--budget`/`--limit` triple as a
 /// [`SearchConfig`] — shared by `search`, `serve` and `loadgen` so the
 /// three commands expose identical retrieval knobs.
 fn search_config(args: &Args) -> Result<SearchConfig, String> {
@@ -382,7 +382,6 @@ fn search_config(args: &Args) -> Result<SearchConfig, String> {
     };
     let mut config = SearchConfig::new()
         .with_algorithm(algorithm)
-        .with_routing(!args.has("no-routing"))
         .with_k(args.get_count_usize("limit", 10)?);
     if args.get("budget").is_some() {
         config = config.with_budget(Some(args.get_count_usize("budget", 1)?));

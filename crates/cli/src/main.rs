@@ -13,13 +13,13 @@
 //!     directory report.
 //!
 //! cafc search --input DIR [--k N] [--limit N] [--rank bm25|tfidf|fused]
-//!             [--no-routing] [--budget N] QUERY...
+//!             [--budget N] QUERY...
 //!     Cluster then search: rank clusters and databases against QUERY
 //!     through the inverted index (BM25 by default; `--rank tfidf` is the
 //!     original cosine ranking, `fused` reciprocal-rank-fuses both).
 //!
 //! cafc serve --input DIR [--port P] [--workers N] [--backlog N]
-//!            [--rank ...] [--no-routing] [--budget N] [--limit N]
+//!            [--rank ...] [--budget N] [--limit N]
 //!     Cluster, build the inverted index, and answer queries over HTTP:
 //!     GET /search?q=…&k=… (JSON), /metrics (cafc-obs snapshot),
 //!     /healthz, /shutdown. --port 0 binds an ephemeral port.
@@ -39,7 +39,7 @@
 //!
 //! cafc loadgen --input DIR [--seed S] [--rate QPS] [--duration-ms MS]
 //!              [--vocab N] [--workers N] [--json FILE] [--digest FILE]
-//!              [--rank ...] [--no-routing] [--budget N] [--limit N]
+//!              [--rank ...] [--budget N] [--limit N]
 //!     Replay a seeded open-loop Zipf query stream against the index:
 //!     QPS and p50/p99/p999 latency, recall@10 of routed vs brute-force
 //!     retrieval, postings scanned on both sides, and FNV digests of the
@@ -161,20 +161,19 @@ USAGE:
                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
                   [--metrics FILE.json] [--trace]
     cafc search   --input DIR [--k N] [--limit N] [--threads N]
-                  [--rank bm25|tfidf|fused] [--no-routing] [--budget N]
-                  QUERY...
+                  [--rank bm25|tfidf|fused] [--budget N] QUERY...
     cafc serve    --input DIR [--port P] [--workers N] [--backlog N]
-                  [--rank bm25|tfidf|fused] [--no-routing] [--budget N]
+                  [--rank bm25|tfidf|fused] [--budget N]
                   [--limit N] [--k N] [--threads N]
     cafc daemon   [--pages N] [--seed S] [--warmup N] [--k N] [--port P]
                   [--repair-every N] [--refresh-every N]
                   [--drift-threshold T] [--chunk-bytes N] [--interval-ms MS]
                   [--assignments FILE] [--workers N] [--backlog N]
-                  [--rank bm25|tfidf|fused] [--no-routing] [--budget N]
+                  [--rank bm25|tfidf|fused] [--budget N]
                   [--limit N] [--threads N]
     cafc loadgen  --input DIR [--seed S] [--rate QPS] [--duration-ms MS]
                   [--vocab N] [--workers N] [--json FILE] [--digest FILE]
-                  [--rank bm25|tfidf|fused] [--no-routing] [--budget N]
+                  [--rank bm25|tfidf|fused] [--budget N]
                   [--limit N] [--k N] [--threads N]
                   [--metrics FILE.json] [--trace]
     cafc eval     --input DIR --clusters clusters.json

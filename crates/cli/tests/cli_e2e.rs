@@ -76,19 +76,40 @@ fn cluster_with_alternative_algorithms() {
     let dir = tmpdir("algos");
     let dir_s = dir.to_str().expect("utf8 temp path");
     run_ok(cafc().args(["generate", "--out", dir_s, "--pages", "48", "--seed", "4"]));
-    for algorithm in ["cafc-c", "hac", "bisect"] {
-        let out = run_ok(cafc().args([
-            "cluster",
-            "--input",
-            dir_s,
-            "--k",
-            "8",
-            "--algorithm",
-            algorithm,
-        ]));
-        assert!(out.contains("gold-standard quality"), "{algorithm}: {out}");
+    let outputs = tmpdir("algos-out");
+    std::fs::create_dir_all(&outputs).expect("output dir");
+    let runs: [&[&str]; 5] = [
+        &["--k", "8", "--algorithm", "cafc-ch"],
+        &["--k", "8", "--algorithm", "cafc-c"],
+        &["--k", "8", "--algorithm", "hac"],
+        &["--k", "8", "--algorithm", "bisect"],
+        &["--auto-k"],
+    ];
+    // Every branch of the algorithm dispatch writes the same clusters.json
+    // at one thread and at four.
+    for flags in runs {
+        let written: Vec<Vec<u8>> = ["1", "4"]
+            .iter()
+            .map(|threads| {
+                let path = outputs.join(format!("clusters-{threads}.json"));
+                let path_s = path.to_str().expect("utf8 temp path");
+                let out = run_ok(
+                    cafc()
+                        .args(["cluster", "--input", dir_s, "--threads", threads])
+                        .args(["--out", path_s])
+                        .args(flags),
+                );
+                assert!(out.contains("gold-standard quality"), "{flags:?}: {out}");
+                std::fs::read(&path).expect("clusters.json written")
+            })
+            .collect();
+        assert!(
+            written[0] == written[1],
+            "{flags:?}: --threads 1 and --threads 4 wrote different clusters.json"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&outputs);
 }
 
 #[test]

@@ -158,7 +158,7 @@ where
 /// this many items.
 const ASSIGN_CHUNK: usize = 1024;
 
-/// The full assignment pass: every item scores against every centroid,
+/// The assignment pass: every item scores against every centroid,
 /// and keeps [`nearest_centroid`]'s rule — centroids in ascending index,
 /// the first one starting at `-∞`, a later one winning only by a strictly
 /// greater similarity — so ties and non-finite similarities resolve to
@@ -166,7 +166,7 @@ const ASSIGN_CHUNK: usize = 1024;
 /// centroid-major within fixed runs of [`ASSIGN_CHUNK`] items; each item's
 /// pick depends only on its own similarities, so the result is the same
 /// for every chunking and every [`ExecPolicy`].
-pub(crate) fn dense_assign<S>(
+fn dense_assign<S>(
     space: &S,
     centroids: &[S::Centroid],
     policy: ExecPolicy,
@@ -199,46 +199,23 @@ where
     chunks.into_iter().flatten().map(|(c, _)| c).collect()
 }
 
-/// The k-means loop proper, shared by the plain entry points (no
-/// checkpointer) and [`kmeans_resumable`](crate::kmeans_resumable): the
-/// checkpointer journals every iteration's assignment vector and, on
-/// resume, replays journaled iterations instead of recomputing the
-/// O(n·k) similarity pass. Centroids are rebuilt from the assignments
-/// either way, so replayed and live iterations are bit-identical.
+/// The k-means loop proper, shared by [`kmeans()`] (no checkpointer) and
+/// [`kmeans_resumable`](crate::kmeans_resumable): the checkpointer
+/// journals every iteration's assignment vector and, on resume, replays
+/// journaled iterations instead of recomputing the O(n·k) similarity
+/// pass. Centroids are rebuilt from the assignments either way, so
+/// replayed and live iterations are bit-identical.
 pub(crate) fn kmeans_driver<S>(
     space: &S,
     seeds: &[Vec<usize>],
     opts: &KMeansOptions,
     policy: ExecPolicy,
     obs: &Obs,
-    ckpt: Option<&mut KMeansCheckpointer<'_>>,
-) -> Result<KMeansOutcome, StoreError>
-where
-    S: ClusterSpace + Sync,
-    S::Centroid: Send + Sync,
-{
-    kmeans_driver_with(space, seeds, opts, policy, obs, ckpt, &dense_assign)
-}
-
-/// [`kmeans_driver`] generic over the assignment step: `assign` maps the
-/// current centroids to one cluster index per item. Mini-batch k-means
-/// (`minibatch.rs`) swaps in a strategy that re-scores a sample; the loop
-/// around it (move counting, centroid rebuild, stopping rule, checkpoint
-/// journaling) is shared so strategies can never diverge on anything but
-/// the O(n·k) similarity pass.
-pub(crate) fn kmeans_driver_with<S, A>(
-    space: &S,
-    seeds: &[Vec<usize>],
-    opts: &KMeansOptions,
-    policy: ExecPolicy,
-    obs: &Obs,
     mut ckpt: Option<&mut KMeansCheckpointer<'_>>,
-    assign: &A,
 ) -> Result<KMeansOutcome, StoreError>
 where
     S: ClusterSpace + Sync,
     S::Centroid: Send + Sync,
-    A: Fn(&S, &[S::Centroid], ExecPolicy, &Obs) -> Vec<usize>,
 {
     let n = space.len();
     let seeds: Vec<&Vec<usize>> = seeds.iter().filter(|s| !s.is_empty()).collect();
@@ -284,7 +261,7 @@ where
             None => {
                 let best_of = {
                     let _span = obs.span("kmeans.assign");
-                    assign(space, &centroids, policy, obs)
+                    dense_assign(space, &centroids, policy, obs)
                 };
                 if let Some(c) = ckpt.as_mut() {
                     c.record_iteration(iterations - 1, &best_of)?;

@@ -145,13 +145,11 @@ fn greedy_selection_starts_with_a_farthest_pair() {
 }
 
 // ---------------------------------------------------------------------
-// The assignment pass and mini-batch k-means against their per-pair
-// references.
+// The assignment pass against its per-pair reference.
 // ---------------------------------------------------------------------
 
 use cafc_cluster::{
-    kmeans_minibatch, kmeans_sparse_exec, nearest_centroid, ExecPolicy, MiniBatchOptions,
-    Partition, SparseClusterSpace,
+    kmeans_sparse_exec, nearest_centroid, ExecPolicy, Partition, SparseClusterSpace,
 };
 
 /// A term-set space: each item is a set of `u64` term keys, an item's
@@ -395,66 +393,6 @@ fn assignment_pass_matches_nearest_centroid() {
             let out = kmeans(&space, &seeds, &one_pass, policy, &Obs::disabled());
             require_eq!(out.partition.clusters(), partition.clusters());
         }
-        Ok(())
-    });
-}
-
-/// Mini-batch with `batch_size >= n` degenerates to full-batch k-means
-/// exactly — every iteration scores every item, so the outcome must be
-/// bit-identical whatever the seed of the batch sampler.
-#[test]
-fn minibatch_full_batch_is_exact_kmeans() {
-    let problem = pairs(&selection_problem(), &usizes(0, u64::MAX as usize >> 1));
-    check!(CheckConfig::new(), problem, |(
-        (points, seeds, _),
-        mb_seed,
-    )| {
-        let n = points.len();
-        let space = DenseSpace::new(points.clone());
-        let opts = KMeansOptions::default();
-        let full = kmeans(&space, seeds, &opts, ExecPolicy::Serial, &Obs::disabled());
-        let mb = MiniBatchOptions::new()
-            .with_batch_size(n)
-            .with_seed(*mb_seed as u64);
-        let mini = kmeans_minibatch(
-            &space,
-            seeds,
-            &opts,
-            &mb,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        );
-        require_eq!(full.partition.clusters(), mini.partition.clusters());
-        require_eq!(full.iterations, mini.iterations);
-        require_eq!(full.converged, mini.converged);
-        Ok(())
-    });
-}
-
-/// Small mini-batches still produce a valid full partition: every item in
-/// exactly one cluster, no more clusters than seeds.
-#[test]
-fn minibatch_small_batches_keep_partition_valid() {
-    check!(CheckConfig::new(), selection_problem(), |(
-        points,
-        seeds,
-        _,
-    )| {
-        let n = points.len();
-        let space = DenseSpace::new(points.clone());
-        let mb = MiniBatchOptions::new().with_batch_size(2).with_seed(5);
-        let out = kmeans_minibatch(
-            &space,
-            seeds,
-            &KMeansOptions::default(),
-            &mb,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        );
-        let mut assigned: Vec<usize> = out.partition.clusters().iter().flatten().copied().collect();
-        assigned.sort_unstable();
-        require_eq!(assigned, (0..n).collect::<Vec<_>>());
-        require!(out.partition.num_clusters() <= seeds.len().max(1));
         Ok(())
     });
 }

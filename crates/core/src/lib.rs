@@ -29,26 +29,32 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cafc::prelude::*;
+//! use cafc::{
+//!     cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+//!     ModelOptions, Obs,
+//! };
 //! use cafc_corpus::{generate, CorpusConfig};
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
 //! // A synthetic deep web (the offline stand-in for the paper's corpus).
 //! let web = generate(&CorpusConfig::small(7));
 //! let targets = web.form_page_ids();
 //!
-//! // Model construction, CAFC-CH with k = 8, and parallel execution, all
-//! // behind one builder. Results are bit-identical for every ExecPolicy.
-//! let outcome = Pipeline::builder()
-//!     .algorithm(Algorithm::CafcCh(CafcChConfig::paper_default(8)))
-//!     .exec(ExecPolicy::Auto)
-//!     .seed(1)
-//!     .build()
-//!     .run_graph(&web.graph, &targets)
-//!     .expect("graph input satisfies CAFC-CH");
+//! // The form-page model, then CAFC-CH with k = 8. Every stage takes the
+//! // execution policy and the observability handle last, and its result
+//! // is bit-identical for every ExecPolicy.
+//! let (policy, obs) = (ExecPolicy::Auto, Obs::disabled());
+//! let model = ModelOptions::default();
+//! let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &model, false, policy, &obs);
+//! let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+//! let config = CafcChConfig::paper_default(8);
+//! let mut rng = StdRng::seed_from_u64(1);
+//! let out = cafc_ch(&web.graph, &targets, &space, &config, &mut rng, policy, &obs);
 //!
 //! // Evaluate against the generator's gold labels.
 //! let entropy = cafc_eval::entropy(
-//!     outcome.partition.clusters(),
+//!     out.outcome.partition.clusters(),
 //!     &web.labels(),
 //!     cafc_eval::EntropyBase::Two,
 //! );
@@ -64,7 +70,6 @@ pub mod bench;
 pub mod incremental;
 pub mod ingest;
 pub mod model;
-pub mod pipeline;
 pub mod resume;
 pub mod search;
 pub mod space;
@@ -89,9 +94,6 @@ pub use exec::ExecPolicy;
 pub use incremental::IncrementalClusters;
 pub use ingest::{DegradedReason, IngestError, IngestLimits, IngestReport, PageOutcome};
 pub use model::{FormPageCorpus, LocationWeights, ModelOptions};
-pub use pipeline::{
-    Algorithm, AlgorithmDetails, Pipeline, PipelineBuilder, PipelineError, PipelineOutcome,
-};
 pub use search::{
     IndexDict, SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
     SearchPipelineBuilder,
@@ -105,23 +107,3 @@ pub use cafc_index::{Bm25Params, Hit, InvertedIndex, ScanStats};
 pub use cafc_obs::{ManualClock, MonotonicClock, Obs, ObsConfig, Snapshot};
 pub use cafc_vsm::{IdfScheme, TfScheme};
 pub use cafc_webgraph::{HubClusterOptions, HubStats};
-
-/// One-stop imports for the redesigned API surface.
-///
-/// `use cafc::prelude::*;` brings in the [`Pipeline`] builder, the
-/// [`Algorithm`] and [`ExecPolicy`] enums, every configuration type they
-/// consume, and the outcome types a run produces.
-pub mod prelude {
-    pub use crate::exec::ExecPolicy;
-    pub use crate::pipeline::{
-        Algorithm, AlgorithmDetails, Pipeline, PipelineBuilder, PipelineError, PipelineOutcome,
-    };
-    pub use crate::search::{
-        IndexDict, SearchAlgorithm, SearchConfig, SearchIndex, SearchOutcome, SearchPipeline,
-        SearchPipelineBuilder,
-    };
-    pub use crate::{
-        CafcChConfig, FeatureConfig, FormPageCorpus, FormPageSpace, IngestLimits, IngestReport,
-        KMeansOptions, Linkage, LocationWeights, ModelOptions, Obs, Partition,
-    };
-}

@@ -1,14 +1,18 @@
-//! The query front door: [`SearchPipeline`] — the retrieval twin of
-//! [`Pipeline`](crate::Pipeline).
+//! The query front door: [`SearchPipeline`].
 //!
-//! The clustering pipeline groups hidden-web databases by domain; this
-//! pipeline answers queries against the result. One builder wires the
-//! retrieval algorithm, cluster routing, the candidate budget and the
+//! Clustering groups hidden-web databases by domain; this pipeline
+//! answers queries against the result. One builder wires the retrieval
+//! algorithm, the candidate budget that turns on cluster routing and the
 //! execution policy together, and produces a self-contained
 //! [`SearchIndex`]:
 //!
 //! ```
-//! use cafc::prelude::*;
+//! use cafc::{
+//!     cafc_c, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, KMeansOptions,
+//!     ModelOptions, Obs, SearchConfig, SearchPipeline,
+//! };
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
 //! let pages = [
 //!     "<title>Flights</title><p>airfare travel deals</p>\
@@ -20,17 +24,16 @@
 //!     "<p>careers salary openings resume</p>\
 //!      <form>category <input name=d></form>",
 //! ];
-//! let outcome = Pipeline::builder()
-//!     .algorithm(Algorithm::CafcC { k: 2 })
-//!     .seed(3)
-//!     .build()
-//!     .run_html(&pages)
-//!     .expect("CAFC-C accepts HTML input");
+//! let (policy, obs) = (ExecPolicy::Serial, Obs::disabled());
+//! let corpus = FormPageCorpus::from_html(pages, &ModelOptions::default(), policy, &obs);
+//! let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+//! let mut rng = StdRng::seed_from_u64(3);
+//! let clustering = cafc_c(&space, 2, &KMeansOptions::default(), &mut rng, policy, &obs);
 //!
 //! let index = SearchPipeline::builder()
 //!     .config(SearchConfig::new().with_k(3))
 //!     .build()
-//!     .index(&outcome.corpus, Some(&outcome.partition));
+//!     .index(&corpus, Some(&clustering.partition));
 //! let result = index.search("cheap airfare");
 //! // Both airfare pages match, and only they do.
 //! let docs: Vec<_> = result.hits.iter().map(|hit| hit.doc).collect();
@@ -97,14 +100,12 @@ pub enum SearchAlgorithm {
 pub struct SearchConfig {
     /// Ranking algorithm.
     pub algorithm: SearchAlgorithm,
-    /// Cluster-routed scanning: visit clusters in query-to-centroid
-    /// similarity order (on) or all shards in id order (off).
-    pub routing: bool,
-    /// Early-termination budget: stop visiting further clusters once this
-    /// many postings have been scanned (the cluster in progress always
-    /// completes). `None` scans every routed cluster. Only meaningful
-    /// with routing on — an unrouted scan is the full reference ranking
-    /// and ignores the budget.
+    /// Early-termination budget: visit clusters in query-to-centroid
+    /// similarity order and stop once this many postings have been
+    /// scanned (the cluster in progress always completes). `None` scans
+    /// every shard in id order, which returns what a routed scan of every
+    /// cluster would: statistics are global, each document sits in one
+    /// shard, and hits sort by a total order.
     pub budget: Option<usize>,
     /// Results to return.
     pub k: usize,
@@ -114,11 +115,10 @@ pub struct SearchConfig {
 }
 
 impl Default for SearchConfig {
-    /// BM25, routing on, no budget, top 10.
+    /// BM25, no budget, top 10.
     fn default() -> Self {
         SearchConfig {
             algorithm: SearchAlgorithm::Bm25,
-            routing: true,
             budget: None,
             k: 10,
             bm25: Bm25Params::new(),
@@ -127,8 +127,8 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// The default configuration (same as `Default`): BM25, routing on,
-    /// no budget, top 10.
+    /// The default configuration (same as `Default`): BM25, no budget,
+    /// top 10.
     pub fn new() -> Self {
         Self::default()
     }
@@ -139,13 +139,7 @@ impl SearchConfig {
         self
     }
 
-    /// Enable or disable cluster routing.
-    pub fn with_routing(mut self, routing: bool) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Set the postings budget for routed scans.
+    /// Set the postings budget, which routes the scan.
     pub fn with_budget(mut self, budget: Option<usize>) -> Self {
         self.budget = budget;
         self
@@ -503,8 +497,7 @@ impl SearchIndex {
         SparseVector::from_entries(self.query_terms(query).iter().map(|&t| (t, 1.0)).collect())
     }
 
-    /// Answer a query under the configured algorithm, routing, budget and
-    /// `k`.
+    /// Answer a query under the configured algorithm, budget and `k`.
     pub fn search(&self, query: &str) -> SearchOutcome {
         self.search_k(query, self.config.k)
     }
@@ -513,10 +506,10 @@ impl SearchIndex {
     pub fn search_k(&self, query: &str, k: usize) -> SearchOutcome {
         let terms = self.query_terms(query);
         let qvec = SparseVector::from_entries(terms.iter().map(|&t| (t, 1.0)).collect());
-        let (order, budget) = if self.config.routing {
-            (self.route_order(&qvec), self.config.budget)
-        } else {
-            (self.index.full_order(), None)
+        let budget = self.config.budget;
+        let order = match budget {
+            Some(_) => self.route_order(&qvec),
+            None => self.index.full_order(),
         };
         let outcome = match self.config.algorithm {
             SearchAlgorithm::Bm25 => self.bm25(&terms, k, &order, budget),
@@ -735,8 +728,7 @@ mod tests {
 
     #[test]
     fn unrouted_bm25_matches_scan_bitwise() {
-        let config = SearchConfig::new().with_routing(false);
-        let index = build(config);
+        let index = build(SearchConfig::new());
         for q in [
             "airfare",
             "careers salary",
@@ -751,10 +743,7 @@ mod tests {
 
     #[test]
     fn tfidf_matches_legacy_cosine_ranking() {
-        let config = SearchConfig::new()
-            .with_algorithm(SearchAlgorithm::TfIdf)
-            .with_routing(false);
-        let index = build(config);
+        let index = build(SearchConfig::new().with_algorithm(SearchAlgorithm::TfIdf));
         let corpus = corpus();
         for q in ["airfare deals", "employment resume"] {
             let out = index.search(q);

@@ -130,8 +130,6 @@ struct Base {
     df: Vec<u32>,
     /// Document length of each base document.
     doc_len: Vec<f64>,
-    /// `doc_len` summed over each complete `DOC_CHUNK`-document chunk.
-    chunk_sums: Vec<f64>,
 }
 
 /// The inverted index: cluster-sharded postings plus global collection
@@ -157,9 +155,6 @@ pub struct InvertedIndex {
     df: Vec<u32>,
     /// Global document length (total indexed tf mass), indexed by doc id.
     doc_len: Vec<f64>,
-    /// `doc_len` summed over each `DOC_CHUNK`-document chunk, the last one
-    /// possibly partial.
-    chunk_sums: Vec<f64>,
     /// Mean document length (0.0 for an empty collection).
     avgdl: f64,
 }
@@ -200,9 +195,8 @@ impl InvertedIndex {
     /// `clusters` has as many clusters as the base was built with, each
     /// listing its base members first and then only documents after the
     /// base. Document frequencies are integers; each document's length is
-    /// the same fold; `avgdl` merges the base's cached chunk sums and the
-    /// chunks from the base's last complete one on, left to right, as the
-    /// full build's reduction does.
+    /// the same fold; `avgdl` sums the same chunks of `doc_len` in the same
+    /// order as the full build does.
     pub fn extend(
         &self,
         docs_tf: &[SparseVector],
@@ -267,15 +261,11 @@ impl InvertedIndex {
         }));
         // Fixed-chunk sums merged left to right -> the same float under
         // every policy and for every base size.
-        let mut chunk_sums = self.base.chunk_sums.clone();
-        let from = chunk_sums.len() * DOC_CHUNK;
-        chunk_sums.extend(
-            doc_len[from..]
-                .chunks(DOC_CHUNK)
-                .map(|chunk| chunk.iter().sum::<f64>()),
-        );
         let n = doc_len.len();
-        let total_len = chunk_sums.iter().copied().reduce(|a, b| a + b);
+        let total_len = doc_len
+            .chunks(DOC_CHUNK)
+            .map(|chunk| chunk.iter().sum::<f64>())
+            .reduce(|a, b| a + b);
         let avgdl = match total_len {
             Some(total) if n > 0 => total / n as f64,
             _ => 0.0,
@@ -287,7 +277,6 @@ impl InvertedIndex {
             num_shards,
             df,
             doc_len,
-            chunk_sums,
             avgdl,
         };
         obs.gauge("index.shards", num_shards as f64);
@@ -303,12 +292,10 @@ impl InvertedIndex {
     /// empty until then.
     fn promote(&mut self) {
         debug_assert_eq!(self.base_docs(), 0, "only a full build promotes");
-        let complete = self.doc_len.len() / DOC_CHUNK;
         self.base = Arc::new(Base {
             shards: std::mem::take(&mut self.tail),
             df: self.df.clone(),
             doc_len: self.doc_len.clone(),
-            chunk_sums: self.chunk_sums[..complete].to_vec(),
         });
     }
 

@@ -122,9 +122,11 @@ fn routed_retrieval_is_a_scored_subset_of_the_full_scan() {
                 );
             }
         }
-        // Without a budget the shard order is irrelevant: same hits.
-        let (unbudgeted, _) = index.search_bm25(&s.query, k, &order, None, &params);
+        // Without a budget the shard order is irrelevant: same hits, and
+        // the same shards, postings and documents scanned.
+        let (unbudgeted, stats) = index.search_bm25(&s.query, k, &order, None, &params);
         require_eq!(unbudgeted, full);
+        require_eq!(stats, full_stats);
         Ok(())
     });
 }

@@ -2,14 +2,19 @@
 //! serial, one worker, an awkward prime number of workers, auto-detected —
 //! must produce *byte-identical* results: the same partitions, the same
 //! ingestion reports in the same order, the same floating-point quality
-//! numbers down to the last bit. Also proves the [`Pipeline`] front door
-//! reproduces the free functions it wires exactly.
+//! numbers down to the last bit. Each run calls the stage functions the
+//! way `cafc cluster` does: a corpus constructor, then `FormPageSpace`,
+//! then one clustering algorithm.
 //!
 //! CI runs this suite under `CAFC_TEST_THREADS=1` and `=4`; the variable
 //! adds one more policy to every sweep.
 
-use cafc::prelude::*;
-use cafc::{cafc_c, cafc_ch, HubClusterOptions};
+use cafc::{
+    cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HacOptions, HubClusterOptions, IngestLimits, KMeansOptions, Linkage, ModelOptions, Obs,
+    Partition,
+};
+use cafc_cluster::{bisecting_kmeans, hac, BisectOptions};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation, SyntheticWeb};
 use cafc_eval::EntropyBase;
 use rand::rngs::StdRng;
@@ -46,37 +51,42 @@ fn quality_bits(partition: &Partition, labels: &[cafc_corpus::Domain]) -> (u64, 
     )
 }
 
+/// CAFC-CH at k = 8 (hub clusters of at least 4 pages) over the web's
+/// target pages, with `seed` and the given policy and handle.
+fn graph_cafc_ch(web: &SyntheticWeb, seed: u64, policy: ExecPolicy, obs: &Obs) -> Partition {
+    let targets = web.form_page_ids();
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        policy,
+        obs,
+    );
+    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+    let config = CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
+        min_cardinality: 4,
+        ..Default::default()
+    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let out = cafc_ch(&web.graph, &targets, &space, &config, &mut rng, policy, obs);
+    out.outcome.partition
+}
+
 /// CAFC-CH end to end over a web graph: partitions, hub statistics and
 /// quality numbers must not depend on the thread count.
 #[test]
 fn graph_cafc_ch_bitwise_identical_across_policies() {
     let web = web();
-    let targets = web.form_page_ids();
     let labels = web.labels();
-    let run = |policy: ExecPolicy| {
-        Pipeline::builder()
-            .algorithm(Algorithm::CafcCh(CafcChConfig::paper_default(8).with_hub(
-                HubClusterOptions {
-                    min_cardinality: 4,
-                    ..Default::default()
-                },
-            )))
-            .exec(policy)
-            .seed(2)
-            .build()
-            .run_graph(&web.graph, &targets)
-            .expect("graph input satisfies CAFC-CH")
-    };
+    let run = |policy: ExecPolicy| graph_cafc_ch(&web, 2, policy, &Obs::disabled());
     let baseline = run(ExecPolicy::Serial);
-    let baseline_q = quality_bits(&baseline.partition, &labels);
+    let baseline_q = quality_bits(&baseline, &labels);
     for policy in policies() {
         let out = run(policy);
+        assert_eq!(out, baseline, "partition diverged under {policy:?}");
         assert_eq!(
-            out.partition, baseline.partition,
-            "partition diverged under {policy:?}"
-        );
-        assert_eq!(
-            quality_bits(&out.partition, &labels),
+            quality_bits(&out, &labels),
             baseline_q,
             "entropy/F bits diverged under {policy:?}"
         );
@@ -102,34 +112,40 @@ fn html_ingest_identical_across_policies() {
     let pages: Vec<&str> = mutated.iter().map(String::as_str).collect();
 
     let run = |policy: ExecPolicy| {
-        Pipeline::builder()
-            .algorithm(Algorithm::CafcC { k: 8 })
-            .ingest_limits(IngestLimits::new())
-            .exec(policy)
-            .seed(3)
-            .build()
-            .run_html(&pages)
-            .expect("CafcC accepts HTML input")
+        let obs = Obs::disabled();
+        let (corpus, report) = FormPageCorpus::from_shards(
+            [&pages],
+            &ModelOptions::default(),
+            &IngestLimits::new(),
+            policy,
+            &obs,
+        );
+        let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+        let mut rng = StdRng::seed_from_u64(3);
+        let opts = KMeansOptions::default();
+        let out = cafc_c(&space, 8, &opts, &mut rng, policy, &obs);
+        (report, out.partition)
     };
-    let baseline = run(ExecPolicy::Serial);
-    let baseline_report = baseline.ingest.as_ref().expect("limits configured");
+    let (baseline_report, baseline) = run(ExecPolicy::Serial);
     assert!(baseline_report.is_accounted());
     assert_eq!(baseline_report.total(), pages.len());
     for policy in policies() {
-        let out = run(policy);
-        let report = out.ingest.as_ref().expect("limits configured");
+        let (report, partition) = run(policy);
         assert_eq!(
             report, baseline_report,
             "IngestReport diverged under {policy:?}"
         );
         assert_eq!(
-            out.partition, baseline.partition,
+            partition, baseline,
             "survivor partition diverged under {policy:?}"
         );
     }
 }
 
-/// Every HTML-capable algorithm behind the pipeline is policy-invariant.
+/// One clustering algorithm at k = 6 over a corpus's space.
+type Algorithm = fn(&FormPageSpace<'_>, &mut StdRng, ExecPolicy) -> Partition;
+
+/// Every algorithm that clusters raw HTML is policy-invariant.
 #[test]
 fn html_algorithms_identical_across_policies() {
     let web = web();
@@ -138,69 +154,64 @@ fn html_algorithms_identical_across_policies() {
         .iter()
         .map(|p| web.graph.html(*p).unwrap_or(""))
         .collect();
-    let algorithms = [
-        Algorithm::CafcC { k: 6 },
-        Algorithm::Hac {
-            k: 6,
-            linkage: Linkage::Average,
-        },
-        Algorithm::Bisect { k: 6, trials: 2 },
+    let algorithms: [(&str, Algorithm); 3] = [
+        ("cafc-c", |space, rng, policy| {
+            let opts = KMeansOptions::default();
+            cafc_c(space, 6, &opts, rng, policy, &Obs::disabled()).partition
+        }),
+        ("hac", |space, _, policy| {
+            let opts = HacOptions {
+                target_clusters: 6,
+                linkage: Linkage::Average,
+            };
+            hac(space, &[], &opts, policy, &Obs::disabled())
+        }),
+        ("bisect", |space, rng, policy| {
+            let opts = BisectOptions {
+                target_clusters: 6,
+                trials: 2,
+                kmeans: KMeansOptions::default(),
+            };
+            bisecting_kmeans(space, &opts, rng, policy, &Obs::disabled())
+        }),
     ];
-    for algorithm in algorithms {
+    for (algorithm, cluster) in algorithms {
         let run = |policy: ExecPolicy| {
-            Pipeline::builder()
-                .algorithm(algorithm.clone())
-                .exec(policy)
-                .seed(11)
-                .build()
-                .run_html(&htmls)
-                .expect("HTML input suffices")
+            let corpus = FormPageCorpus::from_html(
+                htmls.iter().copied(),
+                &ModelOptions::default(),
+                policy,
+                &Obs::disabled(),
+            );
+            let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+            cluster(&space, &mut StdRng::seed_from_u64(11), policy)
         };
         let baseline = run(ExecPolicy::Serial);
         for policy in policies() {
             let out = run(policy);
-            assert_eq!(
-                out.partition, baseline.partition,
-                "{algorithm:?} diverged under {policy:?}"
-            );
+            assert_eq!(out, baseline, "{algorithm} diverged under {policy:?}");
         }
     }
 }
 
-/// Observability is read-only: a pipeline with a metrics sink installed
-/// (as `cafc cluster --metrics` does) must produce a byte-identical
-/// partition to the same pipeline with no sink, under every policy.
+/// Observability is read-only: a run with a metrics sink installed (as
+/// `cafc cluster --metrics` does) must produce a byte-identical partition
+/// to the same run with no sink, under every policy.
 #[test]
 fn metrics_sink_does_not_perturb_clustering() {
     let web = web();
-    let targets = web.form_page_ids();
     let labels = web.labels();
-    let run = |policy: ExecPolicy, obs: cafc::Obs| {
-        Pipeline::builder()
-            .algorithm(Algorithm::CafcCh(CafcChConfig::paper_default(8).with_hub(
-                HubClusterOptions {
-                    min_cardinality: 4,
-                    ..Default::default()
-                },
-            )))
-            .exec(policy)
-            .seed(2)
-            .obs(obs)
-            .build()
-            .run_graph(&web.graph, &targets)
-            .expect("graph input satisfies CAFC-CH")
-    };
-    let silent = run(ExecPolicy::Serial, cafc::Obs::disabled());
-    let silent_q = quality_bits(&silent.partition, &labels);
+    let silent = graph_cafc_ch(&web, 2, ExecPolicy::Serial, &Obs::disabled());
+    let silent_q = quality_bits(&silent, &labels);
     for policy in policies() {
-        let obs = cafc::Obs::enabled();
-        let instrumented = run(policy, obs.clone());
+        let obs = Obs::enabled();
+        let instrumented = graph_cafc_ch(&web, 2, policy, &obs);
         assert_eq!(
-            instrumented.partition, silent.partition,
+            instrumented, silent,
             "metrics sink changed the partition under {policy:?}"
         );
         assert_eq!(
-            quality_bits(&instrumented.partition, &labels),
+            quality_bits(&instrumented, &labels),
             silent_q,
             "metrics sink changed quality bits under {policy:?}"
         );
@@ -208,103 +219,5 @@ fn metrics_sink_does_not_perturb_clustering() {
             !obs.snapshot().is_empty(),
             "instrumented run must actually record metrics"
         );
-    }
-}
-
-/// The pipeline is a *wrapper*, not a reimplementation: with the same seed
-/// it must reproduce the `cafc_c` free function exactly.
-#[test]
-fn pipeline_matches_legacy_cafc_c() {
-    let web = web();
-    let targets = web.form_page_ids();
-    let corpus = FormPageCorpus::from_graph(
-        &web.graph,
-        &targets,
-        &ModelOptions::default(),
-        false,
-        ExecPolicy::Serial,
-        &Obs::disabled(),
-    );
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(4);
-    let direct = cafc_c(
-        &space,
-        8,
-        &KMeansOptions::default(),
-        &mut rng,
-        ExecPolicy::Serial,
-        &Obs::disabled(),
-    );
-
-    for policy in policies() {
-        let out = Pipeline::builder()
-            .algorithm(Algorithm::CafcC { k: 8 })
-            .exec(policy)
-            .seed(4)
-            .build()
-            .run_graph(&web.graph, &targets)
-            .expect("CafcC accepts graph input");
-        assert_eq!(
-            out.partition, direct.partition,
-            "pipeline CafcC != cafc_c under {policy:?}"
-        );
-    }
-}
-
-/// Same for the `cafc_ch` free function, including the seeding statistics
-/// the outcome reports.
-#[test]
-fn pipeline_matches_legacy_cafc_ch() {
-    let web = web();
-    let targets = web.form_page_ids();
-    let config = CafcChConfig::paper_default(8).with_hub(HubClusterOptions {
-        min_cardinality: 4,
-        ..Default::default()
-    });
-    let corpus = FormPageCorpus::from_graph(
-        &web.graph,
-        &targets,
-        &ModelOptions::default(),
-        false,
-        ExecPolicy::Serial,
-        &Obs::disabled(),
-    );
-    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
-    let mut rng = StdRng::seed_from_u64(6);
-    let direct = cafc_ch(
-        &web.graph,
-        &targets,
-        &space,
-        &config,
-        &mut rng,
-        ExecPolicy::Serial,
-        &Obs::disabled(),
-    );
-
-    for policy in policies() {
-        let out = Pipeline::builder()
-            .algorithm(Algorithm::CafcCh(config.clone()))
-            .exec(policy)
-            .seed(6)
-            .build()
-            .run_graph(&web.graph, &targets)
-            .expect("graph input satisfies CAFC-CH");
-        assert_eq!(
-            out.partition, direct.outcome.partition,
-            "pipeline CafcCh != cafc_ch under {policy:?}"
-        );
-        match out.details {
-            AlgorithmDetails::CafcCh {
-                hub_seeds,
-                padded_seeds,
-                iterations,
-                ..
-            } => {
-                assert_eq!(hub_seeds, direct.hub_seeds);
-                assert_eq!(padded_seeds, direct.padded_seeds);
-                assert_eq!(iterations, direct.outcome.iterations);
-            }
-            other => panic!("CafcCh must report CafcCh details, got {other:?}"),
-        }
     }
 }

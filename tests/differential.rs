@@ -4,8 +4,8 @@
 //! minimal witness and reported with a replayable `CAFC_CHECK_SEED`.
 
 use cafc::{
-    Algorithm, DegradedReason, FeatureConfig, FormPageCorpus, FormPageSpace, IngestError,
-    IngestLimits, IngestReport, KMeansOptions, ModelOptions, PageOutcome, Pipeline, TfScheme,
+    cafc_c, DegradedReason, FeatureConfig, FormPageCorpus, FormPageSpace, IngestError,
+    IngestLimits, IngestReport, KMeansOptions, ModelOptions, PageOutcome, TfScheme,
 };
 use cafc_check::corpus::clean_html_corpus;
 use cafc_check::gen::{from_slice, pairs, usizes, Gen};
@@ -26,57 +26,26 @@ fn corpus_and_seed() -> Gen<(Vec<String>, usize)> {
     pairs(&clean_html_corpus(3, 6), &usizes(0, 9_999))
 }
 
-/// Pipelines run whole k-means clusterings per case; keep the case count
-/// modest so the suite stays in test-blink territory.
+/// Cases run whole k-means clusterings; keep the case count modest so the
+/// suite stays in test-blink territory.
 fn cfg() -> CheckConfig {
     let base = CheckConfig::new();
     let cases = base.cases.min(24);
     base.with_cases(cases)
 }
 
-fn run_pipeline(pages: &[String], seed: u64, exec: ExecPolicy, obs: Obs) -> Partition {
-    let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
-    Pipeline::builder()
-        .algorithm(Algorithm::CafcC { k: 2 })
-        .seed(seed)
-        .exec(exec)
-        .obs(obs)
-        .build()
-        .run_html(&refs)
-        .expect("CafcC accepts HTML input")
-        .partition
-}
-
-/// The `Pipeline` front door and the free-function path (`from_html` →
-/// `FormPageSpace` → `cafc_c`) must produce the identical partition for
-/// the same seed.
-#[test]
-fn pipeline_matches_legacy_cafc_c() {
-    check_equiv(
-        "Pipeline::run_html == from_html + cafc_c",
-        &cfg(),
-        &corpus_and_seed(),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
-        |(pages, seed)| {
-            let corpus = FormPageCorpus::from_html(
-                pages.iter().map(String::as_str),
-                &ModelOptions::default(),
-                ExecPolicy::Serial,
-                &Obs::disabled(),
-            );
-            let space = FormPageSpace::new(&corpus, FeatureConfig::default());
-            let mut rng = StdRng::seed_from_u64(*seed as u64);
-            cafc::cafc_c(
-                &space,
-                2,
-                &KMeansOptions::default(),
-                &mut rng,
-                ExecPolicy::Serial,
-                &Obs::disabled(),
-            )
-            .partition
-        },
+/// CAFC-C at k = 2 over raw HTML: `from_html`, then `FormPageSpace`, then
+/// `cafc_c`.
+fn cluster_pages(pages: &[String], seed: u64, exec: ExecPolicy, obs: Obs) -> Partition {
+    let corpus = FormPageCorpus::from_html(
+        pages.iter().map(String::as_str),
+        &ModelOptions::default(),
+        exec,
+        &obs,
     );
+    let space = FormPageSpace::new(&corpus, FeatureConfig::default());
+    let mut rng = StdRng::seed_from_u64(seed);
+    cafc_c(&space, 2, &KMeansOptions::default(), &mut rng, exec, &obs).partition
 }
 
 /// Execution policy changes wall-clock only: `Serial` and `Parallel { 3 }`
@@ -87,9 +56,9 @@ fn serial_matches_parallel() {
         "ExecPolicy::Serial == ExecPolicy::Parallel{3}",
         &cfg(),
         &corpus_and_seed(),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
+        |(pages, seed)| cluster_pages(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
         |(pages, seed)| {
-            run_pipeline(
+            cluster_pages(
                 pages,
                 *seed as u64,
                 ExecPolicy::Parallel { threads: 3 },
@@ -107,8 +76,8 @@ fn metrics_on_matches_metrics_off() {
         "Obs::enabled == Obs::disabled",
         &cfg(),
         &corpus_and_seed(),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
-        |(pages, seed)| run_pipeline(pages, *seed as u64, ExecPolicy::Serial, Obs::enabled()),
+        |(pages, seed)| cluster_pages(pages, *seed as u64, ExecPolicy::Serial, Obs::disabled()),
+        |(pages, seed)| cluster_pages(pages, *seed as u64, ExecPolicy::Serial, Obs::enabled()),
     );
 }
 

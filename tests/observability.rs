@@ -8,14 +8,23 @@
 //!    thread-schedule-dependent may leak into library-level metrics.
 //! 3. One instrumented run covers every pipeline stage: ingestion, corpus
 //!    construction, seeding and clustering all leave metrics behind.
-//! 4. Each pipeline shape — every `Algorithm`, raw HTML with and without
-//!    ingest limits, graph input with anchor text — records exactly the
-//!    metric and span names pinned below.
+//! 4. Each pipeline shape — every clustering algorithm, raw HTML with and
+//!    without ingest limits, graph input with anchor text — records
+//!    exactly the metric and span names pinned below.
+//!
+//! Each run calls the stage functions the way `cafc cluster` does, with
+//! the clustering call inside a `cluster` span.
 
 use cafc::obs::SpanSnapshot;
-use cafc::prelude::*;
-use cafc::{CafcChConfig, HubClusterOptions, Linkage, ManualClock, Obs, PipelineBuilder};
+use cafc::{
+    cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
+    HacOptions, HubClusterOptions, IngestLimits, KMeansOptions, Linkage, ManualClock, ModelOptions,
+    Obs, Partition,
+};
+use cafc_cluster::{bisecting_kmeans, hac, BisectOptions};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation, SyntheticWeb};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn web() -> SyntheticWeb {
@@ -28,30 +37,45 @@ fn logical_obs() -> Obs {
     Obs::with_clock(Arc::new(ManualClock::new()))
 }
 
-fn graph_pipeline(policy: ExecPolicy, obs: Obs) -> Pipeline {
-    Pipeline::builder()
-        .algorithm(Algorithm::CafcCh(CafcChConfig::paper_default(8).with_hub(
-            HubClusterOptions {
-                min_cardinality: 4,
-                ..Default::default()
-            },
-        )))
-        .exec(policy)
-        .seed(2)
-        .obs(obs)
-        .build()
+/// Run `algorithm` over `corpus`'s combined space with a seed-`seed`
+/// generator, inside a `cluster` span as `cafc cluster` opens it.
+fn clustered<T>(
+    corpus: &FormPageCorpus,
+    seed: u64,
+    obs: &Obs,
+    algorithm: impl FnOnce(&FormPageSpace<'_>, &mut StdRng) -> T,
+) -> T {
+    let space = FormPageSpace::new(corpus, FeatureConfig::combined());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let _cluster_span = obs.span("cluster");
+    algorithm(&space, &mut rng)
+}
+
+/// CAFC-CH at k = 8 with seed 2 over the web's target pages.
+fn graph_cafc_ch(web: &SyntheticWeb, policy: ExecPolicy, obs: &Obs) -> Partition {
+    let targets = web.form_page_ids();
+    let corpus = FormPageCorpus::from_graph(
+        &web.graph,
+        &targets,
+        &ModelOptions::default(),
+        false,
+        policy,
+        obs,
+    );
+    clustered(&corpus, 2, obs, |space, rng| {
+        cafc_ch(&web.graph, &targets, space, &hub_config(), rng, policy, obs)
+            .outcome
+            .partition
+    })
 }
 
 /// Same seed, same corpus, different `ExecPolicy` → byte-identical JSON.
 #[test]
 fn snapshot_json_identical_across_policies() {
     let web = web();
-    let targets = web.form_page_ids();
     let render = |policy: ExecPolicy| {
         let obs = logical_obs();
-        graph_pipeline(policy, obs.clone())
-            .run_graph(&web.graph, &targets)
-            .expect("graph input satisfies CAFC-CH");
+        graph_cafc_ch(&web, policy, &obs);
         obs.snapshot().render_json()
     };
     let serial = render(ExecPolicy::Serial);
@@ -76,12 +100,9 @@ fn snapshot_json_identical_across_policies() {
 #[test]
 fn snapshot_text_identical_across_policies() {
     let web = web();
-    let targets = web.form_page_ids();
     let render = |policy: ExecPolicy| {
         let obs = logical_obs();
-        graph_pipeline(policy, obs.clone())
-            .run_graph(&web.graph, &targets)
-            .expect("graph input satisfies CAFC-CH");
+        graph_cafc_ch(&web, policy, &obs);
         obs.snapshot().render_text()
     };
     assert_eq!(
@@ -96,12 +117,9 @@ fn snapshot_text_identical_across_policies() {
 #[test]
 fn graph_snapshot_covers_all_stages() {
     let web = web();
-    let targets = web.form_page_ids();
     let obs = logical_obs();
-    let out = graph_pipeline(ExecPolicy::Serial, obs.clone())
-        .run_graph(&web.graph, &targets)
-        .expect("graph input satisfies CAFC-CH");
-    assert_eq!(out.partition.num_clusters(), 8);
+    let partition = graph_cafc_ch(&web, ExecPolicy::Serial, &obs);
+    assert_eq!(partition.num_clusters(), 8);
     let json = obs.snapshot().render_json();
     for key in [
         "\"counters\"",
@@ -145,16 +163,17 @@ fn ingest_snapshot_covers_outcome_counters() {
     let pages: Vec<&str> = mutated.iter().map(String::as_str).collect();
 
     let obs = logical_obs();
-    let out = Pipeline::builder()
-        .algorithm(Algorithm::CafcC { k: 8 })
-        .ingest_limits(IngestLimits::new())
-        .exec(ExecPolicy::Serial)
-        .seed(3)
-        .obs(obs.clone())
-        .build()
-        .run_html(&pages)
-        .expect("CafcC accepts HTML input");
-    let report = out.ingest.expect("limits configured");
+    let policy = ExecPolicy::Serial;
+    let (corpus, report) = FormPageCorpus::from_shards(
+        [&pages],
+        &ModelOptions::default(),
+        &IngestLimits::new(),
+        policy,
+        &obs,
+    );
+    clustered(&corpus, 3, &obs, |space, rng| {
+        cafc_c(space, 8, &KMeansOptions::default(), rng, policy, &obs)
+    });
     assert!(report.is_accounted());
 
     let snap = obs.snapshot();
@@ -182,11 +201,8 @@ fn ingest_snapshot_covers_outcome_counters() {
 #[test]
 fn disabled_obs_snapshot_stays_empty() {
     let web = web();
-    let targets = web.form_page_ids();
     let obs = Obs::disabled();
-    graph_pipeline(ExecPolicy::Serial, obs.clone())
-        .run_graph(&web.graph, &targets)
-        .expect("graph input satisfies CAFC-CH");
+    graph_cafc_ch(&web, ExecPolicy::Serial, &obs);
     assert!(!obs.is_enabled());
     assert!(obs.snapshot().is_empty());
 }
@@ -229,18 +245,10 @@ fn metric_names(obs: &Obs) -> Vec<String> {
     out
 }
 
-/// The metric names of one pipeline run under a logical clock, over the
-/// graph's target pages (`html: None`) or over `html`.
-fn names_of_run(builder: PipelineBuilder, html: Option<&[&str]>) -> Vec<String> {
-    let web = web();
-    let targets = web.form_page_ids();
+/// The metric names one run leaves under a logical clock.
+fn names_of_run(run: impl FnOnce(&Obs)) -> Vec<String> {
     let obs = logical_obs();
-    let pipeline = builder.seed(2).obs(obs.clone()).build();
-    match html {
-        Some(pages) => pipeline.run_html(pages).map(drop),
-        None => pipeline.run_graph(&web.graph, &targets).map(drop),
-    }
-    .expect("the algorithm accepts this input");
+    run(&obs);
     metric_names(&obs)
 }
 
@@ -439,33 +447,82 @@ fn metric_names_match_the_recorded_lists() {
     let (clean, mutated) = target_html();
     let clean: Vec<&str> = clean.iter().map(String::as_str).collect();
     let mutated: Vec<&str> = mutated.iter().map(String::as_str).collect();
-    let cafc_c = || Pipeline::builder().algorithm(Algorithm::CafcC { k: 8 });
-    let cafc_ch = || Pipeline::builder().algorithm(Algorithm::CafcCh(hub_config()));
-    let hac = Pipeline::builder().algorithm(Algorithm::Hac {
-        k: 8,
-        linkage: Linkage::Average,
-    });
-    let bisect = Pipeline::builder().algorithm(Algorithm::Bisect { k: 8, trials: 2 });
+    let web = web();
+    let targets = web.form_page_ids();
+    let model = ModelOptions::default();
+    let policy = ExecPolicy::Serial;
+    let html = |pages: &[&str], obs: &Obs| {
+        FormPageCorpus::from_html(pages.iter().copied(), &model, policy, obs)
+    };
+    let ingest = |pages: &[&str], obs: &Obs| {
+        FormPageCorpus::from_shards([pages], &model, &IngestLimits::new(), policy, obs).0
+    };
+    let graph = |anchors: bool, obs: &Obs| {
+        FormPageCorpus::from_graph(&web.graph, &targets, &model, anchors, policy, obs)
+    };
+    let kmeans = KMeansOptions::default();
+    let run_cafc_c = |corpus: &FormPageCorpus, obs: &Obs| {
+        clustered(corpus, 2, obs, |space, rng| {
+            cafc_c(space, 8, &kmeans, rng, policy, obs);
+        })
+    };
+    let run_cafc_ch = |corpus: &FormPageCorpus, obs: &Obs| {
+        clustered(corpus, 2, obs, |space, rng| {
+            cafc_ch(&web.graph, &targets, space, &hub_config(), rng, policy, obs);
+        })
+    };
+    let run_hac = |corpus: &FormPageCorpus, obs: &Obs| {
+        let opts = HacOptions {
+            target_clusters: 8,
+            linkage: Linkage::Average,
+        };
+        clustered(corpus, 2, obs, |space, _| {
+            hac(space, &[], &opts, policy, obs);
+        })
+    };
+    let run_bisect = |corpus: &FormPageCorpus, obs: &Obs| {
+        let opts = BisectOptions {
+            target_clusters: 8,
+            trials: 2,
+            kmeans,
+        };
+        clustered(corpus, 2, obs, |space, rng| {
+            bisecting_kmeans(space, &opts, rng, policy, obs);
+        })
+    };
     let cases = [
-        ("CAFC_C_HTML", cafc_c(), Some(&clean), CAFC_C_HTML),
+        (
+            "CAFC_C_HTML",
+            names_of_run(|obs| run_cafc_c(&html(&clean, obs), obs)),
+            CAFC_C_HTML,
+        ),
         (
             "CAFC_C_INGEST",
-            cafc_c().ingest_limits(IngestLimits::new()),
-            Some(&mutated),
+            names_of_run(|obs| run_cafc_c(&ingest(&mutated, obs), obs)),
             CAFC_C_INGEST,
         ),
-        ("CAFC_CH_GRAPH", cafc_ch(), None, CAFC_CH_GRAPH),
+        (
+            "CAFC_CH_GRAPH",
+            names_of_run(|obs| run_cafc_ch(&graph(false, obs), obs)),
+            CAFC_CH_GRAPH,
+        ),
         (
             "CAFC_CH_ANCHORS",
-            cafc_ch().anchors(true),
-            None,
+            names_of_run(|obs| run_cafc_ch(&graph(true, obs), obs)),
             CAFC_CH_ANCHORS,
         ),
-        ("HAC_GRAPH", hac, None, HAC_GRAPH),
-        ("BISECT_GRAPH", bisect, None, BISECT_GRAPH),
+        (
+            "HAC_GRAPH",
+            names_of_run(|obs| run_hac(&graph(false, obs), obs)),
+            HAC_GRAPH,
+        ),
+        (
+            "BISECT_GRAPH",
+            names_of_run(|obs| run_bisect(&graph(false, obs), obs)),
+            BISECT_GRAPH,
+        ),
     ];
-    for (case, builder, html, expected) in cases {
-        let names = names_of_run(builder, html.map(Vec::as_slice));
+    for (case, names, expected) in cases {
         assert_eq!(names, expected, "metric names of {case}");
     }
 }

@@ -3,34 +3,43 @@
 //! `SearchPipeline`, and require routed retrieval to hit the recall bar
 //! against brute-force while scanning measurably fewer postings.
 
-use cafc::prelude::*;
-use cafc::{Algorithm, CafcChConfig, Pipeline, SearchConfig, SearchPipeline};
+use cafc::{
+    cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace, ModelOptions,
+    Obs, Partition, SearchConfig, SearchPipeline,
+};
 use cafc_corpus::{generate, CorpusConfig};
 use cafc_text::TermId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// Cluster the small synthetic web and hand back the clustered corpus.
-fn clustered() -> cafc::PipelineOutcome {
+/// Cluster the small synthetic web with CAFC-CH at k = 8 and hand back
+/// the corpus and its partition.
+fn clustered() -> (FormPageCorpus, Partition) {
     let web = generate(&CorpusConfig::small(7));
     let targets = web.form_page_ids();
-    Pipeline::builder()
-        .algorithm(Algorithm::CafcCh(CafcChConfig::paper_default(8)))
-        .seed(1)
-        .build()
-        .run_graph(&web.graph, &targets)
-        .expect("synthetic web satisfies CAFC-CH")
+    let (policy, obs) = (ExecPolicy::Serial, Obs::disabled());
+    let model = ModelOptions::default();
+    let corpus = FormPageCorpus::from_graph(&web.graph, &targets, &model, false, policy, &obs);
+    let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
+    let config = CafcChConfig::paper_default(8);
+    let mut rng = StdRng::seed_from_u64(1);
+    let out = cafc_ch(
+        &web.graph, &targets, &space, &config, &mut rng, policy, &obs,
+    );
+    (corpus, out.outcome.partition)
 }
 
 /// Deterministic query workload matching the paper's premise: users ask
 /// about a *domain*, so queries are built from each cluster's most
 /// discriminative terms — high within-cluster mass, concentrated there.
-fn queries(outcome: &cafc::PipelineOutcome) -> Vec<String> {
-    let num_terms = outcome.corpus.dict.len();
-    let clusters = outcome.partition.clusters();
+fn queries(corpus: &FormPageCorpus, partition: &Partition) -> Vec<String> {
+    let num_terms = corpus.dict.len();
+    let clusters = partition.clusters();
     let mut total = vec![0.0_f64; num_terms];
     let mut per = vec![vec![0.0_f64; num_terms]; clusters.len()];
     for (ci, members) in clusters.iter().enumerate() {
         for &m in members {
-            for &(term, tf) in outcome.corpus.pc_tf[m].entries() {
+            for &(term, tf) in corpus.pc_tf[m].entries() {
                 per[ci][term.index()] += tf;
                 total[term.index()] += tf;
             }
@@ -45,7 +54,7 @@ fn queries(outcome: &cafc::PipelineOutcome) -> Vec<String> {
         let top: Vec<&str> = cand
             .iter()
             .take(4)
-            .map(|&t| outcome.corpus.dict.term(TermId(t as u32)))
+            .map(|&t| corpus.dict.term(TermId(t as u32)))
             .collect();
         queries.extend(top.iter().map(|t| t.to_string()));
         for pair in top.windows(2) {
@@ -57,20 +66,20 @@ fn queries(outcome: &cafc::PipelineOutcome) -> Vec<String> {
 
 #[test]
 fn routed_retrieval_meets_the_recall_bar_with_fewer_postings() {
-    let outcome = clustered();
+    let (corpus, partition) = clustered();
     // Cap each query below what its full scan touches, so routing has to
     // actually skip shards to stay under the budget.
     let budget_cap = 32;
     let index = SearchPipeline::builder()
         .config(SearchConfig::new().with_budget(Some(budget_cap)).with_k(10))
         .build()
-        .index(&outcome.corpus, Some(&outcome.partition));
+        .index(&corpus, Some(&partition));
 
     let mut recall_sum = 0.0;
     let mut scored_queries = 0usize;
     let mut routed_postings = 0usize;
     let mut full_postings = 0usize;
-    for q in queries(&outcome) {
+    for q in queries(&corpus, &partition) {
         let routed = index.search_k(&q, 10);
         let reference = index.reference(&q, 10);
         routed_postings += routed.stats.postings_scanned;
@@ -100,12 +109,12 @@ fn routed_retrieval_meets_the_recall_bar_with_fewer_postings() {
 
 #[test]
 fn routed_and_reference_agree_exactly_without_a_budget() {
-    let outcome = clustered();
+    let (corpus, partition) = clustered();
     let index = SearchPipeline::builder()
         .config(SearchConfig::new().with_k(10))
         .build()
-        .index(&outcome.corpus, Some(&outcome.partition));
-    for q in queries(&outcome).into_iter().take(20) {
+        .index(&corpus, Some(&partition));
+    for q in queries(&corpus, &partition).into_iter().take(20) {
         let routed = index.search_k(&q, 10);
         let reference = index.reference(&q, 10);
         assert_eq!(routed.hits, reference.hits, "query {q:?}");
@@ -114,18 +123,18 @@ fn routed_and_reference_agree_exactly_without_a_budget() {
 
 #[test]
 fn search_pipeline_is_deterministic_across_exec_policies() {
-    let outcome = clustered();
+    let (corpus, partition) = clustered();
     let build = |policy| {
         SearchPipeline::builder()
             .config(SearchConfig::new().with_budget(Some(1_500)))
             .exec(policy)
             .build()
-            .index(&outcome.corpus, Some(&outcome.partition))
+            .index(&corpus, Some(&partition))
     };
     let serial = build(ExecPolicy::Serial);
     let parallel = build(ExecPolicy::Parallel { threads: 4 });
     assert_eq!(serial.num_postings(), parallel.num_postings());
-    for q in queries(&outcome).into_iter().take(20) {
+    for q in queries(&corpus, &partition).into_iter().take(20) {
         let a = serial.search(&q);
         let b = parallel.search(&q);
         assert_eq!(a.hits, b.hits, "query {q:?}");

@@ -7,18 +7,19 @@
 # when fields are added (see DESIGN.md §9).
 #
 # Defining modules (the only places allowed to write the literal):
-#   KMeansOptions -> crates/cluster/src/kmeans.rs
-#   ModelOptions  -> crates/core/src/model.rs
-#   CafcChConfig  -> crates/core/src/algorithms.rs
-#   IngestLimits  -> crates/core/src/ingest.rs
-#   ObsConfig     -> crates/obs/src/lib.rs
-#   FuzzConfig    -> crates/fuzz/src/config.rs
-#   StoreConfig   -> crates/store/src/config.rs
-#   SearchConfig  -> crates/core/src/search.rs
-#   Bm25Params    -> crates/index/src/bm25.rs
-#   ServeOptions  -> crates/serve/src/server.rs
-#   LoadgenConfig -> crates/serve/src/loadgen.rs
-#   MiniBatchOptions    -> crates/cluster/src/minibatch.rs
+#   KMeansOptions       -> crates/cluster/src/kmeans.rs
+#   ModelOptions        -> crates/core/src/model.rs
+#   CafcChConfig        -> crates/core/src/algorithms.rs
+#   IngestLimits        -> crates/core/src/ingest.rs
+#   ObsConfig           -> crates/obs/src/lib.rs
+#   CheckConfig         -> crates/check/src/runner.rs
+#   FuzzConfig          -> crates/fuzz/src/config.rs
+#   StoreConfig         -> crates/store/src/config.rs
+#   SearchConfig        -> crates/core/src/search.rs
+#   Bm25Params          -> crates/index/src/bm25.rs
+#   ServeOptions        -> crates/serve/src/server.rs
+#   LoadgenConfig       -> crates/serve/src/loadgen.rs
+#   StreamConfig        -> crates/core/src/stream.rs
 #   BenchConfig         -> crates/core/src/bench.rs
 #   ShardedCorpusConfig -> crates/corpus/src/shard.rs
 #
@@ -40,7 +41,6 @@ declare -A home=(
   [ServeOptions]="crates/serve/src/server.rs"
   [LoadgenConfig]="crates/serve/src/loadgen.rs"
   [StreamConfig]="crates/core/src/stream.rs"
-  [MiniBatchOptions]="crates/cluster/src/minibatch.rs"
   [BenchConfig]="crates/core/src/bench.rs"
   [ShardedCorpusConfig]="crates/corpus/src/shard.rs"
 )
