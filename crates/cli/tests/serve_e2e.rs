@@ -2,6 +2,7 @@
 //! stand up the daemon on an ephemeral loopback port, drive it over real
 //! TCP, and check that fixed-seed loadgen runs agree byte-for-byte.
 
+use cafc::obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -171,6 +172,35 @@ fn loadgen_fixed_seed_runs_agree() {
     ] {
         assert!(bench_json.contains(key), "missing {key} in {bench_json}");
     }
+
+    // A budget routes every query. Runs at one and four threads write the
+    // same digest, and the routed scans read fewer postings than the full
+    // ones. Recall under a budget is printed, not gated.
+    let budgeted = |threads: &str| {
+        let digest = dir.join(format!("digest-budget-{threads}.json"));
+        run_ok(cafc().args(base).args([
+            "--budget",
+            "100",
+            "--threads",
+            threads,
+            "--digest",
+            digest.to_str().expect("utf8"),
+        ]));
+        std::fs::read_to_string(&digest).expect("budgeted digest")
+    };
+    let one = budgeted("1");
+    assert_eq!(
+        one,
+        budgeted("4"),
+        "budgeted digests diverged across threads"
+    );
+    let digest = json::parse(&one).expect("digest parses");
+    let field = |key: &str| match digest.get(key) {
+        Some(Value::Number(n)) => *n,
+        other => panic!("digest field {key}: {other:?} in {one}"),
+    };
+    assert!(field("routed_postings") < field("full_postings"), "{one}");
+    println!("budget 100: recall@10 {}", field("recall_at_10"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

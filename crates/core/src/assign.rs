@@ -2,13 +2,14 @@
 //! "Once the clusters are built and properly labeled with the domain name,
 //! they can be used as the basis to automatically classify new sources."
 
+use crate::incremental::IncrementalClusters;
 use crate::space::FormPageSpace;
-use cafc_cluster::{nearest_centroid, ClusterSpace, Partition};
+use cafc_cluster::Partition;
 
 /// Assign each of `items` (indices into the space's corpus) to the most
 /// similar non-empty cluster of `partition`, ties to the lowest cluster
-/// index (see [`nearest_centroid`]). Returns `(item, cluster)` pairs in
-/// input order.
+/// index: the cluster [`IncrementalClusters`] would assign it to, without
+/// folding it in. Returns `(item, cluster)` pairs in input order.
 ///
 /// The typical workflow: build one [`crate::FormPageCorpus`] over the
 /// already-clustered pages *plus* the new pages (so IDF statistics are
@@ -22,19 +23,10 @@ pub fn assign_to_clusters(
     partition: &Partition,
     items: &[usize],
 ) -> Vec<(usize, usize)> {
-    let centroids: Vec<(usize, <FormPageSpace<'_> as ClusterSpace>::Centroid)> = partition
-        .clusters()
-        .iter()
-        .enumerate()
-        .filter(|(_, members)| !members.is_empty())
-        .map(|(ci, members)| (ci, space.centroid(members)))
-        .collect();
+    let clusters = IncrementalClusters::from_partition(space, partition);
     items
         .iter()
-        .filter_map(|&item| {
-            let nearest = nearest_centroid(space, centroids.iter().map(|(ci, c)| (*ci, c)), item);
-            nearest.map(|(ci, _)| (item, ci))
-        })
+        .filter_map(|&item| Some((item, clusters.nearest(space, item)?)))
         .collect()
 }
 
@@ -44,6 +36,7 @@ mod tests {
     use crate::model::{FormPageCorpus, ModelOptions};
     use crate::space::{FeatureConfig, FormPageSpace};
     use crate::{ExecPolicy, Obs};
+    use cafc_cluster::ClusterSpace;
 
     #[test]
     fn assigns_new_pages_to_matching_cluster() {

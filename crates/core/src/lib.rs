@@ -103,7 +103,7 @@ pub use stream::{Arrival, StreamConfig, StreamCorpus};
 
 // Re-export the pieces callers almost always need alongside the core API.
 pub use cafc_cluster::{HacOptions, KMeansOptions, Linkage, Partition};
-pub use cafc_index::{Bm25Params, Hit, InvertedIndex, ScanStats};
-pub use cafc_obs::{ManualClock, MonotonicClock, Obs, ObsConfig, Snapshot};
+pub use cafc_index::{Hit, InvertedIndex, ScanStats};
+pub use cafc_obs::{ManualClock, MonotonicClock, Obs, Snapshot};
 pub use cafc_vsm::{IdfScheme, TfScheme};
 pub use cafc_webgraph::{HubClusterOptions, HubStats};

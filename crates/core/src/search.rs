@@ -55,15 +55,16 @@
 //! A streaming corpus republishes its index as pages arrive, so
 //! [`SearchPipeline::index`] keeps the base of the last full build and
 //! extends it whenever it can prove the new input extends that build's
-//! input (DESIGN.md §15.1): the postings of the documents since, the
-//! router sums of their clusters and the terms interned since are built;
-//! everything else is shared. An extended index is the full build's,
-//! bit for bit.
+//! input (DESIGN.md §15.1): the postings of the documents since and the
+//! terms interned since are built; everything else is shared. An extended
+//! index is the full build's, bit for bit. Only a budgeted scan reads the
+//! cluster router, so only a pipeline with a budget builds one, afresh
+//! for each generation.
 
 use crate::model::FormPageCorpus;
 use cafc_cluster::Partition;
 use cafc_exec::ExecPolicy;
-use cafc_index::{rrf_fuse, Bm25Params, ClusterRouter, Hit, InvertedIndex, ScanStats};
+use cafc_index::{rrf_fuse, ClusterRouter, Hit, InvertedIndex, ScanStats};
 use cafc_obs::Obs;
 use cafc_text::{Analyzer, TermDict, TermId};
 use cafc_vsm::SparseVector;
@@ -109,9 +110,6 @@ pub struct SearchConfig {
     pub budget: Option<usize>,
     /// Results to return.
     pub k: usize,
-    /// BM25 parameters (used by [`SearchAlgorithm::Bm25`] and
-    /// [`SearchAlgorithm::Fused`]).
-    pub bm25: Bm25Params,
 }
 
 impl Default for SearchConfig {
@@ -121,7 +119,6 @@ impl Default for SearchConfig {
             algorithm: SearchAlgorithm::Bm25,
             budget: None,
             k: 10,
-            bm25: Bm25Params::new(),
         }
     }
 }
@@ -139,7 +136,8 @@ impl SearchConfig {
         self
     }
 
-    /// Set the postings budget, which routes the scan.
+    /// Set the postings budget, which routes the scan: a pipeline with a
+    /// budget builds a cluster router for each index.
     pub fn with_budget(mut self, budget: Option<usize>) -> Self {
         self.budget = budget;
         self
@@ -148,12 +146,6 @@ impl SearchConfig {
     /// Set the number of results to return.
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = k;
-        self
-    }
-
-    /// Set the BM25 parameters.
-    pub fn with_bm25(mut self, bm25: Bm25Params) -> Self {
-        self.bm25 = bm25;
         self
     }
 }
@@ -219,9 +211,7 @@ impl std::fmt::Debug for SearchPipeline {
 /// later input extends it.
 struct Base {
     index: InvertedIndex,
-    router: ClusterRouter,
     docs_tf: Vec<SparseVector>,
-    docs_tfidf: Vec<SparseVector>,
     clusters: Vec<Vec<usize>>,
     dict: Arc<TermDict>,
 }
@@ -231,8 +221,8 @@ impl Base {
     /// with a tail small enough to extend (see [`TAIL_SHARE`]). The proof
     /// is by storage, not by value, so it costs a pointer comparison per
     /// base document and term list, not the vectors:
-    /// * every base document's `pc_tf` and `pc` vectors share their
-    ///   entries with the ones built from;
+    /// * every base document's `pc_tf` vector shares its entries with the
+    ///   one built from;
     /// * there are as many clusters, each listing its base members first
     ///   and then only documents after the base;
     /// * the dictionary's first terms are the base's
@@ -240,14 +230,13 @@ impl Base {
     fn extended_by(&self, corpus: &FormPageCorpus, clusters: &[Vec<usize>]) -> bool {
         let base = self.docs_tf.len();
         let n = corpus.pc_tf.len();
-        let same = |now: &[SparseVector], then: &[SparseVector]| {
-            now.iter().zip(then).all(|(a, b)| a.shares_entries(b))
-        };
         n >= base
             && (n - base) * TAIL_SHARE <= base
-            && corpus.pc.len() == n
-            && same(&corpus.pc_tf, &self.docs_tf)
-            && same(&corpus.pc, &self.docs_tfidf)
+            && corpus
+                .pc_tf
+                .iter()
+                .zip(&self.docs_tf)
+                .all(|(a, b)| a.shares_entries(b))
             && clusters.len() == self.clusters.len()
             && clusters.iter().zip(&self.clusters).all(|(now, then)| {
                 now.starts_with(then) && now[then.len()..].iter().all(|&m| m >= base)
@@ -270,7 +259,8 @@ impl SearchPipeline {
     /// Build a self-contained index over a clustered corpus. With
     /// `partition` the postings are sharded by cluster and routing
     /// follows the clustering; without it everything lands in one shard
-    /// (routing degenerates to a full scan).
+    /// (routing degenerates to a full scan). Only a budgeted configuration
+    /// routes, so only it builds the [`ClusterRouter`], from scratch.
     ///
     /// The pipeline keeps the last full build. When the input provably
     /// extends that build's input — the corpus grew by appending, and the
@@ -286,15 +276,17 @@ impl SearchPipeline {
             Some(p) => p.clusters().to_vec(),
             None => vec![(0..corpus.len()).collect()],
         };
+        let router = self
+            .config
+            .budget
+            .map(|_| ClusterRouter::new(&corpus.pc, &clusters));
         let mut kept = self.base.lock().unwrap_or_else(PoisonError::into_inner);
-        let (index, router, dict) = match kept.as_ref().filter(|b| b.extended_by(corpus, &clusters))
-        {
+        let (index, dict) = match kept.as_ref().filter(|b| b.extended_by(corpus, &clusters)) {
             Some(base) => {
                 self.obs.incr("index.builds.extended");
                 (
                     base.index
                         .extend(&corpus.pc_tf, &clusters, self.exec, &self.obs),
-                    base.router.extend(&corpus.pc, &clusters),
                     IndexDict::new(Arc::clone(&base.dict), &corpus.dict),
                 )
             }
@@ -302,15 +294,12 @@ impl SearchPipeline {
                 self.obs.incr("index.builds.full");
                 let base = Base {
                     index: InvertedIndex::build(&corpus.pc_tf, &clusters, self.exec, &self.obs),
-                    router: ClusterRouter::new(&corpus.pc, &clusters),
                     docs_tf: corpus.pc_tf.clone(),
-                    docs_tfidf: corpus.pc.clone(),
                     clusters,
                     dict: Arc::new(corpus.dict.clone()),
                 };
                 let built = (
                     base.index.clone(),
-                    base.router.clone(),
                     IndexDict::new(Arc::clone(&base.dict), &corpus.dict),
                 );
                 *kept = Some(Arc::new(base));
@@ -423,13 +412,13 @@ impl SearchPipelineBuilder {
 }
 
 /// A self-contained, query-ready view over a clustered corpus: the
-/// cluster-sharded inverted index, the router centroids, both scoring
-/// spaces and the term dictionary.
+/// cluster-sharded inverted index, the router centroids when a budget
+/// routes the scan, both scoring spaces and the term dictionary.
 #[derive(Debug, Clone)]
 pub struct SearchIndex {
     config: SearchConfig,
     index: InvertedIndex,
-    router: ClusterRouter,
+    router: Option<ClusterRouter>,
     docs_tf: Vec<SparseVector>,
     docs_tfidf: Vec<SparseVector>,
     dict: IndexDict,
@@ -507,10 +496,9 @@ impl SearchIndex {
         let terms = self.query_terms(query);
         let qvec = SparseVector::from_entries(terms.iter().map(|&t| (t, 1.0)).collect());
         let budget = self.config.budget;
-        let order = match budget {
-            Some(_) => self.route_order(&qvec),
-            None => self.index.full_order(),
-        };
+        let order = self
+            .route_order(&qvec)
+            .unwrap_or_else(|| self.index.full_order());
         let outcome = match self.config.algorithm {
             SearchAlgorithm::Bm25 => self.bm25(&terms, k, &order, budget),
             SearchAlgorithm::TfIdf => self.tfidf(&terms, &qvec, k, &order, budget),
@@ -544,16 +532,12 @@ impl SearchIndex {
         let qvec = SparseVector::from_entries(terms.iter().map(|&t| (t, 1.0)).collect());
         match self.config.algorithm {
             SearchAlgorithm::Bm25 => {
-                let (hits, stats) =
-                    self.index
-                        .scan_bm25(&self.docs_tf, &terms, k, &self.config.bm25);
+                let (hits, stats) = self.index.scan_bm25(&self.docs_tf, &terms, k);
                 SearchOutcome { hits, stats }
             }
             SearchAlgorithm::TfIdf => self.tfidf_scan(&qvec, k),
             SearchAlgorithm::Fused => {
-                let (a, sa) = self
-                    .index
-                    .scan_bm25(&self.docs_tf, &terms, k, &self.config.bm25);
+                let (a, sa) = self.index.scan_bm25(&self.docs_tf, &terms, k);
                 let b = self.tfidf_scan(&qvec, k);
                 SearchOutcome {
                     hits: rrf_fuse(&[&a, &b.hits], k),
@@ -563,15 +547,14 @@ impl SearchIndex {
         }
     }
 
-    /// Cluster visit order for a query: router order over the clustered
-    /// shards, with any trailing overflow shard appended so no document is
-    /// unreachable.
-    fn route_order(&self, qvec: &SparseVector) -> Vec<usize> {
-        let mut order = self.router.route(qvec);
-        for shard in self.router.num_clusters()..self.index.num_shards() {
-            order.push(shard);
-        }
-        order
+    /// Cluster visit order for a query when the index has a router: its
+    /// order over the clustered shards, with any trailing overflow shard
+    /// appended so no document is unreachable.
+    fn route_order(&self, qvec: &SparseVector) -> Option<Vec<usize>> {
+        let router = self.router.as_ref()?;
+        let mut order = router.route(qvec);
+        order.extend(router.num_clusters()..self.index.num_shards());
+        Some(order)
     }
 
     fn bm25(
@@ -581,9 +564,7 @@ impl SearchIndex {
         order: &[usize],
         budget: Option<usize>,
     ) -> SearchOutcome {
-        let (hits, stats) = self
-            .index
-            .search_bm25(terms, k, order, budget, &self.config.bm25);
+        let (hits, stats) = self.index.search_bm25(terms, k, order, budget);
         SearchOutcome { hits, stats }
     }
 
@@ -834,8 +815,9 @@ mod tests {
 
     /// Every part of two indexes a query can read, bit for bit: the
     /// dictionary, df, document lengths, `avgdl`, each (shard, term)'s
-    /// postings, and for each query the route order, hits, score bits and
-    /// scan stats of `search` and `reference`.
+    /// postings, and for each query the route order where the indexes have
+    /// a router, and the hits, score bits and scan stats of `search` and
+    /// `reference`.
     fn assert_same_index(a: &SearchIndex, b: &SearchIndex, queries: &[&str]) {
         assert_eq!(a.num_docs(), b.num_docs());
         assert_eq!(a.num_clusters(), b.num_clusters());
@@ -883,8 +865,9 @@ mod tests {
     ];
 
     /// A fresh pipeline's index of `corpus` under `partition`.
-    fn fresh(corpus: &FormPageCorpus, partition: &Partition) -> SearchIndex {
+    fn fresh(config: SearchConfig, corpus: &FormPageCorpus, partition: &Partition) -> SearchIndex {
         SearchPipeline::builder()
+            .config(config)
             .build()
             .index(corpus, Some(partition))
     }
@@ -934,26 +917,41 @@ mod tests {
 
     #[test]
     fn publishes_extend_and_equal_fresh_builds_under_every_policy() {
-        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
-            let obs = Obs::enabled();
-            let pipeline = SearchPipeline::builder()
-                .exec(policy)
-                .obs(obs.clone())
-                .build();
-            let config = crate::StreamConfig::new().with_repair_interval(2);
-            let mut sc = stream(config, &partition());
-            let first = pipeline.index(sc.corpus(), Some(&sc.partition()));
-            assert_same_index(&first, &fresh(sc.corpus(), &sc.partition()), &QUERIES);
-            for page in ARRIVALS {
-                sc.ingest_html(page);
-                let index = pipeline.index(sc.corpus(), Some(&sc.partition()));
-                assert_same_index(&index, &fresh(sc.corpus(), &sc.partition()), &QUERIES);
+        // A budget of 4 postings stops some queries after their first
+        // cluster, so the budgeted leg compares routed scans.
+        let mut cut_short = 0;
+        for budget in [None, Some(4)] {
+            for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 3 }] {
+                let obs = Obs::enabled();
+                let search = SearchConfig::new().with_budget(budget);
+                let pipeline = SearchPipeline::builder()
+                    .config(search)
+                    .exec(policy)
+                    .obs(obs.clone())
+                    .build();
+                let config = crate::StreamConfig::new().with_repair_interval(2);
+                let mut sc = stream(config, &partition());
+                let first = pipeline.index(sc.corpus(), Some(&sc.partition()));
+                let reference = fresh(search, sc.corpus(), &sc.partition());
+                assert_same_index(&first, &reference, &QUERIES);
+                for page in ARRIVALS {
+                    sc.ingest_html(page);
+                    let index = pipeline.index(sc.corpus(), Some(&sc.partition()));
+                    let reference = fresh(search, sc.corpus(), &sc.partition());
+                    assert_same_index(&index, &reference, &QUERIES);
+                    assert_eq!(index.router.is_some(), budget.is_some(), "{budget:?}");
+                    cut_short += QUERIES
+                        .iter()
+                        .filter(|q| index.search(q).stats.clusters_visited < index.num_clusters())
+                        .count();
+                }
+                // Bases of 4, 6 and 8 pages: a tail of one page extends any
+                // of them, a tail of two promotes past 4 and 6 (more than a
+                // quarter) and extends 8.
+                assert_eq!(builds(&obs), (3, 4), "{policy:?} {budget:?}");
             }
-            // Bases of 4, 6 and 8 pages: a tail of one page extends any of
-            // them, a tail of two promotes past 4 and 6 (more than a
-            // quarter) and extends 8.
-            assert_eq!(builds(&obs), (3, 4), "{policy:?}");
         }
+        assert!(cut_short > 0, "no budgeted scan stopped early");
     }
 
     #[test]
@@ -974,7 +972,11 @@ mod tests {
         let index = pipeline.index(sc.corpus(), Some(&sc.partition()));
         assert_eq!(builds(&obs), (1, 1));
         assert_eq!(index.inverted().base_docs(), 8);
-        assert_same_index(&index, &fresh(sc.corpus(), &sc.partition()), &QUERIES);
+        assert_same_index(
+            &index,
+            &fresh(SearchConfig::new(), sc.corpus(), &sc.partition()),
+            &QUERIES,
+        );
         let hits = index.search("zygote").hits;
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].doc, 8);
@@ -1000,7 +1002,11 @@ mod tests {
         assert_eq!(builds(&obs), (1, 1));
         let index = pipeline.index(corpus, Some(partition));
         assert_eq!(builds(&obs), (2, 1), "stale input must build afresh");
-        assert_same_index(&index, &fresh(corpus, partition), &QUERIES);
+        assert_same_index(
+            &index,
+            &fresh(SearchConfig::new(), corpus, partition),
+            &QUERIES,
+        );
     }
 
     #[test]
@@ -1089,7 +1095,11 @@ mod tests {
         assert!(sc.ingest_html(ARRIVALS[0]).page.is_some());
         let index = pipeline.index(sc.corpus(), Some(&sc.partition()));
         assert_eq!(builds(&obs), (1, 1));
-        assert_same_index(&index, &fresh(sc.corpus(), &sc.partition()), &QUERIES);
+        assert_same_index(
+            &index,
+            &fresh(SearchConfig::new(), sc.corpus(), &sc.partition()),
+            &QUERIES,
+        );
     }
 
     /// The benchmark's stream shape: 4 000 warm pages of the sharded
@@ -1138,7 +1148,7 @@ mod tests {
         });
         let publish = |sc: &crate::StreamCorpus| {
             let partition = sc.partition();
-            let reference = fresh(sc.corpus(), &partition);
+            let reference = fresh(SearchConfig::new(), sc.corpus(), &partition);
             // Fixed queries, the newest term (first interned in a tail
             // once the stream has added terms) and an unknown one.
             let dict = &sc.corpus().dict;

@@ -40,6 +40,9 @@ use cafc_obs::Obs;
 use cafc_text::TermId;
 use cafc_vsm::{weigh, SparseVector};
 
+/// Iteration cap for the drift-triggered re-cluster.
+const RECLUSTER_ITERATIONS: usize = 20;
+
 /// Streaming-ingestion knobs.
 ///
 /// Construct with [`StreamConfig::new`] plus the chainable `with_*`
@@ -59,8 +62,6 @@ pub struct StreamConfig {
     /// Mean centroid drift (see [`IncrementalClusters::drift`]) above which
     /// a repair pass escalates to a full re-cluster.
     pub drift_threshold: f64,
-    /// Iteration cap for the drift-triggered re-cluster.
-    pub recluster_iterations: usize,
     /// Execution policy for repair passes and re-clustering.
     pub policy: ExecPolicy,
 }
@@ -75,7 +76,6 @@ impl Default for StreamConfig {
             limits: IngestLimits::default(),
             repair_interval: 32,
             drift_threshold: 0.25,
-            recluster_iterations: 20,
             policy: ExecPolicy::Serial,
         }
     }
@@ -114,12 +114,6 @@ impl StreamConfig {
     /// Set the drift threshold that escalates repair to a re-cluster.
     pub fn with_drift_threshold(mut self, threshold: f64) -> Self {
         self.drift_threshold = threshold;
-        self
-    }
-
-    /// Set the iteration cap for drift-triggered re-clustering.
-    pub fn with_recluster_iterations(mut self, iterations: usize) -> Self {
-        self.recluster_iterations = iterations.max(1);
         self
     }
 
@@ -371,7 +365,7 @@ impl StreamCorpus {
             let outcome = kmeans(
                 &space,
                 &seeds,
-                &KMeansOptions::new().with_max_iterations(self.config.recluster_iterations),
+                &KMeansOptions::new().with_max_iterations(RECLUSTER_ITERATIONS),
                 self.config.policy,
                 &self.obs,
             );

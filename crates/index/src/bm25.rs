@@ -19,61 +19,27 @@ pub fn bm25_idf(num_docs: usize, df: u32) -> f64 {
     (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
 }
 
-/// BM25 free parameters.
+/// Term-frequency saturation: the conventional `k1 = 1.2`. Higher values
+/// let repeated terms keep adding score for longer.
+pub const K1: f64 = 1.2;
+
+/// Length-normalization strength, the conventional `b = 0.75`: `0` would
+/// ignore document length, `1` fully normalizes by `dl / avgdl`.
+pub const B: f64 = 0.75;
+
+/// One term's BM25 contribution:
+/// `idf · tf·(K1+1) / (tf + K1·(1 − B + B·dl/avgdl))`.
 ///
-/// Construct with [`Bm25Params::new`] (the conventional `k1 = 1.2`,
-/// `b = 0.75`) plus the chainable `with_*` setters; the struct is
-/// `#[non_exhaustive]` so future knobs are not breaking changes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub struct Bm25Params {
-    /// Term-frequency saturation: higher `k1` lets repeated terms keep
-    /// adding score for longer.
-    pub k1: f64,
-    /// Length normalization strength in `[0, 1]`: `0` ignores document
-    /// length, `1` fully normalizes by `dl / avgdl`.
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
-
-impl Bm25Params {
-    /// The conventional parameters (same as `Default`): `k1 = 1.2`,
-    /// `b = 0.75`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the term-frequency saturation parameter.
-    pub fn with_k1(mut self, k1: f64) -> Self {
-        self.k1 = k1;
-        self
-    }
-
-    /// Set the length-normalization strength.
-    pub fn with_b(mut self, b: f64) -> Self {
-        self.b = b;
-        self
-    }
-
-    /// One term's BM25 contribution:
-    /// `idf · tf·(k1+1) / (tf + k1·(1 − b + b·dl/avgdl))`.
-    ///
-    /// With `tf > 0`, `idf > 0` and a non-degenerate collection the result
-    /// is finite and positive; an empty collection (`avgdl == 0`) skips
-    /// length normalization rather than dividing by zero.
-    pub fn score_term(&self, tf: f64, idf: f64, doc_len: f64, avgdl: f64) -> f64 {
-        let norm = if avgdl > 0.0 {
-            1.0 - self.b + self.b * doc_len / avgdl
-        } else {
-            1.0
-        };
-        idf * (tf * (self.k1 + 1.0)) / (tf + self.k1 * norm)
-    }
+/// With `tf > 0`, `idf > 0` and a non-degenerate collection the result
+/// is finite and positive; an empty collection (`avgdl == 0`) skips
+/// length normalization rather than dividing by zero.
+pub fn score_term(tf: f64, idf: f64, doc_len: f64, avgdl: f64) -> f64 {
+    let norm = if avgdl > 0.0 {
+        1.0 - B + B * doc_len / avgdl
+    } else {
+        1.0
+    };
+    idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)
 }
 
 #[cfg(test)]
@@ -94,42 +60,28 @@ mod tests {
 
     #[test]
     fn score_saturates_in_tf() {
-        let p = Bm25Params::new();
         let idf = bm25_idf(100, 3);
-        let s1 = p.score_term(1.0, idf, 10.0, 10.0);
-        let s2 = p.score_term(2.0, idf, 10.0, 10.0);
-        let s100 = p.score_term(100.0, idf, 10.0, 10.0);
+        let s1 = score_term(1.0, idf, 10.0, 10.0);
+        let s2 = score_term(2.0, idf, 10.0, 10.0);
+        let s100 = score_term(100.0, idf, 10.0, 10.0);
         assert!(s2 > s1, "more occurrences score higher");
         assert!(
-            s100 < idf * (p.k1 + 1.0),
+            s100 < idf * (K1 + 1.0),
             "score is bounded by idf·(k1+1) regardless of tf"
         );
     }
 
     #[test]
     fn longer_documents_are_penalized() {
-        let p = Bm25Params::new();
         let idf = bm25_idf(100, 3);
-        let short = p.score_term(2.0, idf, 5.0, 10.0);
-        let long = p.score_term(2.0, idf, 50.0, 10.0);
+        let short = score_term(2.0, idf, 5.0, 10.0);
+        let long = score_term(2.0, idf, 50.0, 10.0);
         assert!(short > long);
     }
 
     #[test]
     fn empty_collection_does_not_divide_by_zero() {
-        let p = Bm25Params::new();
-        let s = p.score_term(1.0, 1.0, 0.0, 0.0);
+        let s = score_term(1.0, 1.0, 0.0, 0.0);
         assert!(s.is_finite());
-    }
-
-    #[test]
-    fn setters_chain() {
-        let p = Bm25Params::new().with_k1(2.0).with_b(0.0);
-        assert_eq!(p.k1, 2.0);
-        assert_eq!(p.b, 0.0);
-        // b = 0: document length is ignored entirely.
-        let a = p.score_term(2.0, 1.0, 5.0, 10.0);
-        let b = p.score_term(2.0, 1.0, 500.0, 10.0);
-        assert_eq!(a, b);
     }
 }

@@ -14,12 +14,12 @@
 //!   through the exec layer: chunked accumulation merged in chunk order,
 //!   so the index is bit-identical under every
 //!   [`ExecPolicy`](cafc_exec::ExecPolicy).
-//! * [`Bm25Params`] — Okapi BM25 with the Lucene non-negative idf,
-//!   `ln(1 + (N − df + ½)/(df + ½))`, over the corpus' location-weighted
-//!   term frequencies.
-//! * [`ClusterRouter`] — ranks clusters by query-to-centroid cosine; the
-//!   searcher scans the best clusters' postings first and stops when a
-//!   postings budget is exhausted.
+//! * [`score_term`] — Okapi BM25 at the conventional [`K1`] and [`B`],
+//!   with the Lucene non-negative idf, `ln(1 + (N − df + ½)/(df + ½))`,
+//!   over the corpus' location-weighted term frequencies.
+//! * [`ClusterRouter`] — ranks clusters by query-to-centroid cosine; a
+//!   budgeted search scans the best clusters' postings first and stops
+//!   when its postings budget is exhausted.
 //! * [`rrf_fuse`] — reciprocal-rank fusion of the BM25 and TF-IDF
 //!   rankings: `score(d) = Σ 1/(60 + rank(d))`.
 //!
@@ -39,7 +39,7 @@ pub mod fuse;
 pub mod postings;
 pub mod router;
 
-pub use bm25::{bm25_idf, Bm25Params};
+pub use bm25::{bm25_idf, score_term, B, K1};
 pub use fuse::{rrf_fuse, RRF_C};
 pub use postings::{Hit, InvertedIndex, Posting, ScanStats};
 pub use router::ClusterRouter;

@@ -8,7 +8,7 @@
 //! visited. Routed retrieval therefore returns a subset of the full-scan
 //! ranking, never differently-scored documents.
 
-use crate::bm25::{bm25_idf, Bm25Params};
+use crate::bm25::{bm25_idf, score_term};
 use cafc_exec::{par_chunks_obs, ExecPolicy};
 use cafc_obs::Obs;
 use cafc_text::TermId;
@@ -391,7 +391,6 @@ impl InvertedIndex {
         k: usize,
         order: &[usize],
         budget: Option<usize>,
-        params: &Bm25Params,
     ) -> (Vec<Hit>, ScanStats) {
         let query = Self::normalize(query);
         let idf: Vec<f64> = query
@@ -416,8 +415,7 @@ impl InvertedIndex {
                 for postings in self.parts(si, term) {
                     stats.postings_scanned += postings.len();
                     for p in postings {
-                        let s =
-                            params.score_term(p.tf, idf, self.doc_len(p.doc as usize), self.avgdl);
+                        let s = score_term(p.tf, idf, self.doc_len(p.doc as usize), self.avgdl);
                         *acc.entry(p.doc).or_insert(0.0) += s;
                     }
                 }
@@ -436,7 +434,6 @@ impl InvertedIndex {
         docs_tf: &[SparseVector],
         query: &[TermId],
         k: usize,
-        params: &Bm25Params,
     ) -> (Vec<Hit>, ScanStats) {
         let query = Self::normalize(query);
         let idf: Vec<f64> = query
@@ -456,7 +453,7 @@ impl InvertedIndex {
                 if tf > 0.0 {
                     stats.postings_scanned += 1;
                     matched = true;
-                    score += params.score_term(tf, idf, self.doc_len(doc), self.avgdl);
+                    score += score_term(tf, idf, self.doc_len(doc), self.avgdl);
                 }
             }
             if matched {
@@ -571,8 +568,7 @@ mod tests {
         let docs = docs();
         let index = build(&docs, &[vec![0, 1]]);
         assert_eq!(index.num_shards(), 2, "overflow shard appended");
-        let (hits, _) =
-            index.search_bm25(&[t(2)], 10, &index.full_order(), None, &Bm25Params::new());
+        let (hits, _) = index.search_bm25(&[t(2)], 10, &index.full_order(), None);
         assert_eq!(hits.len(), 2, "overflow docs remain searchable");
     }
 
@@ -580,7 +576,6 @@ mod tests {
     fn postings_search_matches_scan_bitwise() {
         let docs = docs();
         let index = build(&docs, &clusters());
-        let params = Bm25Params::new();
         for query in [
             vec![t(0)],
             vec![t(0), t(1)],
@@ -588,8 +583,8 @@ mod tests {
             vec![t(1), t(0), t(1)], // duplicates normalize away
             vec![t(7)],             // unknown term
         ] {
-            let (indexed, _) = index.search_bm25(&query, 10, &index.full_order(), None, &params);
-            let (scanned, _) = index.scan_bm25(&docs, &query, 10, &params);
+            let (indexed, _) = index.search_bm25(&query, 10, &index.full_order(), None);
+            let (scanned, _) = index.scan_bm25(&docs, &query, 10);
             assert_eq!(indexed, scanned, "query {query:?}");
         }
     }
@@ -598,11 +593,9 @@ mod tests {
     fn routed_scan_touches_fewer_postings() {
         let docs = docs();
         let index = build(&docs, &clusters());
-        let params = Bm25Params::new();
         // Query for flight vocabulary, routed to shard 0 only via budget.
-        let (routed, routed_stats) = index.search_bm25(&[t(0), t(4)], 2, &[0, 1], Some(1), &params);
-        let (full, full_stats) =
-            index.search_bm25(&[t(0), t(4)], 2, &index.full_order(), None, &params);
+        let (routed, routed_stats) = index.search_bm25(&[t(0), t(4)], 2, &[0, 1], Some(1));
+        let (full, full_stats) = index.search_bm25(&[t(0), t(4)], 2, &index.full_order(), None);
         assert!(routed_stats.postings_scanned < full_stats.postings_scanned);
         assert_eq!(routed_stats.clusters_visited, 1);
         assert_eq!(routed, full, "the right cluster held the full top-2");
@@ -622,7 +615,6 @@ mod tests {
             10,
             &[0, 1],
             Some(1), // exhausted inside shard 0, but shard 0 completes
-            &Bm25Params::new(),
         );
         assert_eq!(stats.clusters_visited, 1);
         assert_eq!(stats.postings_scanned, 2, "shard 0's postings all scanned");
@@ -647,8 +639,7 @@ mod tests {
             vector(&[(1, 1.0)]),
         ];
         let index = build(&docs, &[vec![0, 1, 2]]);
-        let (hits, _) =
-            index.search_bm25(&[t(0)], 10, &index.full_order(), None, &Bm25Params::new());
+        let (hits, _) = index.search_bm25(&[t(0)], 10, &index.full_order(), None);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].score, hits[1].score);
         assert_eq!((hits[0].doc, hits[1].doc), (0, 1));
@@ -706,7 +697,6 @@ mod tests {
                 );
             }
         }
-        let params = Bm25Params::new();
         let mut orders = vec![a.full_order()];
         orders.extend((0..a.num_shards()).map(|s| vec![s, (s + 1) % a.num_shards()]));
         for query in [
@@ -717,8 +707,8 @@ mod tests {
         ] {
             for order in &orders {
                 for budget in [None, Some(5)] {
-                    let (ha, sa) = a.search_bm25(&query, 10, order, budget, &params);
-                    let (hb, sb) = b.search_bm25(&query, 10, order, budget, &params);
+                    let (ha, sa) = a.search_bm25(&query, 10, order, budget);
+                    let (hb, sb) = b.search_bm25(&query, 10, order, budget);
                     let scores = |h: &[Hit]| {
                         h.iter()
                             .map(|h| (h.doc, h.score.to_bits()))
@@ -794,8 +784,7 @@ mod tests {
         let index = build(&[], &[]);
         assert_eq!(index.num_docs(), 0);
         assert_eq!(index.avgdl(), 0.0);
-        let (hits, stats) =
-            index.search_bm25(&[t(0)], 5, &index.full_order(), None, &Bm25Params::new());
+        let (hits, stats) = index.search_bm25(&[t(0)], 5, &index.full_order(), None);
         assert!(hits.is_empty());
         assert_eq!(stats, ScanStats::default());
     }

@@ -20,7 +20,7 @@ use cafc_check::corpus::{clustering, sparse_entries};
 use cafc_check::gen::{pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CheckConfig};
 use cafc_exec::ExecPolicy;
-use cafc_index::{bm25_idf, Bm25Params, ClusterRouter, InvertedIndex, Posting};
+use cafc_index::{bm25_idf, ClusterRouter, InvertedIndex, Posting, K1};
 use cafc_obs::Obs;
 use cafc_text::TermId;
 use cafc_vsm::SparseVector;
@@ -76,10 +76,9 @@ fn build(s: &Scenario, policy: ExecPolicy) -> InvertedIndex {
 fn postings_scan_matches_brute_force_reference() {
     check!(CheckConfig::new(), scenarios(), |s| {
         let index = build(s, ExecPolicy::Serial);
-        let params = Bm25Params::new();
         let k = s.docs.len();
-        let (fast, fast_stats) = index.search_bm25(&s.query, k, &index.full_order(), None, &params);
-        let (slow, slow_stats) = index.scan_bm25(&s.docs, &s.query, k, &params);
+        let (fast, fast_stats) = index.search_bm25(&s.query, k, &index.full_order(), None);
+        let (slow, slow_stats) = index.scan_bm25(&s.docs, &s.query, k);
         require_eq!(fast, slow);
         require_eq!(fast_stats.docs_scored, slow_stats.docs_scored);
         // Both sides walk every matching posting exactly once.
@@ -96,16 +95,15 @@ fn postings_scan_matches_brute_force_reference() {
 fn routed_retrieval_is_a_scored_subset_of_the_full_scan() {
     check!(CheckConfig::new(), scenarios(), |s| {
         let index = build(s, ExecPolicy::Serial);
-        let params = Bm25Params::new();
         let router = ClusterRouter::new(&s.docs, &s.clusters);
         let mut order = router.route(&SparseVector::from_entries(
             s.query.iter().map(|&t| (t, 1.0)).collect(),
         ));
         order.extend(router.num_clusters()..index.num_shards());
         let k = s.docs.len();
-        let (full, full_stats) = index.search_bm25(&s.query, k, &index.full_order(), None, &params);
+        let (full, full_stats) = index.search_bm25(&s.query, k, &index.full_order(), None);
         for budget in [1, 4, usize::MAX] {
-            let (routed, stats) = index.search_bm25(&s.query, k, &order, Some(budget), &params);
+            let (routed, stats) = index.search_bm25(&s.query, k, &order, Some(budget));
             require!(stats.postings_scanned <= full_stats.postings_scanned);
             for (i, hit) in routed.iter().enumerate() {
                 if i > 0 {
@@ -124,7 +122,7 @@ fn routed_retrieval_is_a_scored_subset_of_the_full_scan() {
         }
         // Without a budget the shard order is irrelevant: same hits, and
         // the same shards, postings and documents scanned.
-        let (unbudgeted, stats) = index.search_bm25(&s.query, k, &order, None, &params);
+        let (unbudgeted, stats) = index.search_bm25(&s.query, k, &order, None);
         require_eq!(unbudgeted, full);
         require_eq!(stats, full_stats);
         Ok(())
@@ -138,16 +136,14 @@ fn routed_retrieval_is_a_scored_subset_of_the_full_scan() {
 fn bm25_scores_are_finite_positive_and_bounded() {
     check!(CheckConfig::new(), scenarios(), |s| {
         let index = build(s, ExecPolicy::Serial);
-        let params = Bm25Params::new();
         let mut q = s.query.clone();
         q.sort_unstable();
         q.dedup();
         let bound: f64 = q
             .iter()
-            .map(|&t| bm25_idf(index.num_docs(), index.df(t)) * (params.k1 + 1.0))
+            .map(|&t| bm25_idf(index.num_docs(), index.df(t)) * (K1 + 1.0))
             .sum();
-        let (hits, _) =
-            index.search_bm25(&s.query, s.docs.len(), &index.full_order(), None, &params);
+        let (hits, _) = index.search_bm25(&s.query, s.docs.len(), &index.full_order(), None);
         for hit in &hits {
             require!(hit.score.is_finite(), "non-finite score {hit:?}");
             require!(hit.score > 0.0, "non-positive score {hit:?}");
@@ -210,9 +206,8 @@ fn build_and_routing_are_deterministic_across_exec_policies() {
                 o.extend(r.num_clusters()..parallel.num_shards());
                 o
             });
-            let params = Bm25Params::new();
-            let a = serial.search_bm25(&s.query, 10, &order, Some(8), &params);
-            let b = parallel.search_bm25(&s.query, 10, &order, Some(8), &params);
+            let a = serial.search_bm25(&s.query, 10, &order, Some(8));
+            let b = parallel.search_bm25(&s.query, 10, &order, Some(8));
             require_eq!(a, b);
         }
         Ok(())

@@ -115,8 +115,8 @@ impl Clock for ManualClock {
     }
 }
 
-/// Default histogram bucket upper bounds for duration metrics, in
-/// microseconds (spanning 10 µs … 1 s; slower observations land in the
+/// Histogram bucket upper bounds for duration metrics ([`Obs::observe`]),
+/// in microseconds (spanning 10 µs … 1 s; slower observations land in the
 /// implicit `+Inf` overflow bucket).
 pub const DEFAULT_DURATION_BUCKETS_US: [f64; 11] = [
     10.0,
@@ -135,40 +135,6 @@ pub const DEFAULT_DURATION_BUCKETS_US: [f64; 11] = [
 /// Bucket upper bounds for fraction-valued metrics (0‥1), e.g. the k-means
 /// per-iteration moved fraction.
 pub const FRACTION_BUCKETS: [f64; 8] = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0];
-
-/// Observability configuration.
-///
-/// Construct with [`ObsConfig::default`]/[`ObsConfig::new`] plus the
-/// chainable `with_*` setters; the struct is `#[non_exhaustive]` so future
-/// fields are not breaking changes.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct ObsConfig {
-    /// Bucket upper bounds (µs) used by [`Obs::observe`] and
-    /// [`Obs::observe_since`] for duration histograms.
-    pub duration_buckets_us: Vec<f64>,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            duration_buckets_us: DEFAULT_DURATION_BUCKETS_US.to_vec(),
-        }
-    }
-}
-
-impl ObsConfig {
-    /// The default configuration (same as `Default`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the duration-histogram bucket upper bounds (µs).
-    pub fn with_duration_buckets_us(mut self, bounds: Vec<f64>) -> Self {
-        self.duration_buckets_us = bounds;
-        self
-    }
-}
 
 /// A fixed-bucket histogram: cumulative-style counts per upper bound plus
 /// an implicit `+Inf` overflow bucket, total count, and value sum.
@@ -261,7 +227,6 @@ impl State {
 
 struct Inner {
     clock: Arc<dyn Clock>,
-    duration_buckets_us: Vec<f64>,
     state: Mutex<State>,
 }
 
@@ -302,24 +267,17 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// An enabled handle on the production [`MonotonicClock`] with the
-    /// default [`ObsConfig`].
+    /// An enabled handle on the production [`MonotonicClock`].
     pub fn enabled() -> Obs {
-        Obs::new(ObsConfig::default(), Arc::new(MonotonicClock::new()))
+        Obs::with_clock(Arc::new(MonotonicClock::new()))
     }
 
-    /// An enabled handle on an explicit clock (default config). Tests pass
-    /// an `Arc<ManualClock>` here and keep a clone to advance it.
+    /// An enabled handle on an explicit clock. Tests pass an
+    /// `Arc<ManualClock>` here and keep a clone to advance it.
     pub fn with_clock(clock: Arc<dyn Clock>) -> Obs {
-        Obs::new(ObsConfig::default(), clock)
-    }
-
-    /// An enabled handle with explicit configuration and clock.
-    pub fn new(config: ObsConfig, clock: Arc<dyn Clock>) -> Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 clock,
-                duration_buckets_us: config.duration_buckets_us,
                 state: Mutex::new(State::default()),
             })),
         }
@@ -351,17 +309,11 @@ impl Obs {
         inner.lock().gauges.insert(name.to_string(), value);
     }
 
-    /// Record `value` into histogram `name` using the configured duration
-    /// buckets (µs). Bucket bounds are fixed at the histogram's first
-    /// observation.
+    /// Record `value` into histogram `name` using the duration buckets
+    /// [`DEFAULT_DURATION_BUCKETS_US`] (µs). Bucket bounds are fixed at the
+    /// histogram's first observation.
     pub fn observe(&self, name: &str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let bounds = inner.duration_buckets_us.clone();
-        let mut st = inner.lock();
-        st.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(&bounds))
-            .observe(value);
+        self.observe_in(name, &DEFAULT_DURATION_BUCKETS_US, value);
     }
 
     /// Record `value` into histogram `name` with explicit bucket upper
@@ -601,15 +553,5 @@ mod tests {
             }
         });
         assert_eq!(obs.snapshot().counters, vec![("n".to_string(), 8000)]);
-    }
-
-    #[test]
-    fn config_setter_applies() {
-        let config = ObsConfig::new().with_duration_buckets_us(vec![1.0]);
-        let obs = Obs::new(config, Arc::new(ManualClock::new()));
-        obs.observe("h", 2.0);
-        let snap = obs.snapshot();
-        assert_eq!(snap.histograms[0].1.bounds, vec![1.0]);
-        assert_eq!(snap.histograms[0].1.bucket_counts, vec![0, 1]);
     }
 }

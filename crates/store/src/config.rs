@@ -1,8 +1,8 @@
-//! Store tuning knobs. This module is the config's home: the config-lint
-//! sweep checks that every field documented here has a `with_` setter and
-//! shows up in DESIGN.md.
+//! Store tuning knobs. The config-lint sweep (`tools/config-lint.sh`)
+//! checks that no struct literal of [`StoreConfig`] appears outside this
+//! module.
 
-/// Tuning for checkpoint cadence and journal durability.
+/// Tuning for checkpoint cadence. Every journal append is fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreConfig {
@@ -10,17 +10,12 @@ pub struct StoreConfig {
     /// the crawl, pages for ingest, iterations already journal per-step for
     /// k-means/HAC). Must be at least 1.
     pub checkpoint_every: u64,
-    /// Whether to fsync the journal after every append. Turning this off
-    /// trades the last few journal frames for throughput; recovery still
-    /// works because torn tails are discarded.
-    pub sync_journal: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             checkpoint_every: 64,
-            sync_journal: true,
         }
     }
 }
@@ -36,12 +31,6 @@ impl StoreConfig {
         self.checkpoint_every = every.max(1);
         self
     }
-
-    /// Set whether journal appends fsync.
-    pub fn with_sync_journal(mut self, sync: bool) -> Self {
-        self.sync_journal = sync;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -52,9 +41,7 @@ mod tests {
     fn defaults_and_setters() {
         let c = StoreConfig::new();
         assert_eq!(c.checkpoint_every, 64);
-        assert!(c.sync_journal);
-        let c = c.with_checkpoint_every(0).with_sync_journal(false);
+        let c = c.with_checkpoint_every(0);
         assert_eq!(c.checkpoint_every, 1, "cadence clamps up to 1");
-        assert!(!c.sync_journal);
     }
 }

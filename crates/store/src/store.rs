@@ -326,9 +326,7 @@ impl Store {
         frame.extend_from_slice(&body);
         let path = self.journal_path(stage);
         self.vfs.append(&path, &frame)?;
-        if self.config.sync_journal {
-            self.vfs.sync(&path)?;
-        }
+        self.vfs.sync(&path)?;
         self.obs.incr("store.journal_appends");
         Ok(())
     }

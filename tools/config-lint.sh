@@ -11,12 +11,10 @@
 #   ModelOptions        -> crates/core/src/model.rs
 #   CafcChConfig        -> crates/core/src/algorithms.rs
 #   IngestLimits        -> crates/core/src/ingest.rs
-#   ObsConfig           -> crates/obs/src/lib.rs
 #   CheckConfig         -> crates/check/src/runner.rs
 #   FuzzConfig          -> crates/fuzz/src/config.rs
 #   StoreConfig         -> crates/store/src/config.rs
 #   SearchConfig        -> crates/core/src/search.rs
-#   Bm25Params          -> crates/index/src/bm25.rs
 #   ServeOptions        -> crates/serve/src/server.rs
 #   LoadgenConfig       -> crates/serve/src/loadgen.rs
 #   StreamConfig        -> crates/core/src/stream.rs
@@ -32,12 +30,10 @@ declare -A home=(
   [ModelOptions]="crates/core/src/model.rs"
   [CafcChConfig]="crates/core/src/algorithms.rs"
   [IngestLimits]="crates/core/src/ingest.rs"
-  [ObsConfig]="crates/obs/src/lib.rs"
   [CheckConfig]="crates/check/src/runner.rs"
   [FuzzConfig]="crates/fuzz/src/config.rs"
   [StoreConfig]="crates/store/src/config.rs"
   [SearchConfig]="crates/core/src/search.rs"
-  [Bm25Params]="crates/index/src/bm25.rs"
   [ServeOptions]="crates/serve/src/server.rs"
   [LoadgenConfig]="crates/serve/src/loadgen.rs"
   [StreamConfig]="crates/core/src/stream.rs"
