@@ -127,7 +127,6 @@ const VALUE_FLAGS: &[&str] = &[
     "refresh-every",
     "repair-every",
     "drift-threshold",
-    "chunk-bytes",
     "assignments",
     "interval-ms",
     // serve / loadgen / search

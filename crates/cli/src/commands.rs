@@ -480,26 +480,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Split `html` into ~`size`-byte pieces on char boundaries — the shape of
-/// a page arriving from a socket, which is exactly what the streaming
-/// parser absorbs (cuts mid-tag and mid-entity included).
-fn chunk_html(html: &str, size: usize) -> Vec<&str> {
-    let mut chunks = Vec::new();
-    let mut start = 0;
-    while start < html.len() {
-        let mut end = (start + size).min(html.len());
-        while end < html.len() && !html.is_char_boundary(end) {
-            end += 1;
-        }
-        chunks.push(&html[start..end]);
-        start = end;
-    }
-    chunks
-}
-
 /// `cafc daemon` — the full streaming loop: synthesize a seeded crawl,
 /// warm-start clusters on its first pages, then stream the remainder
-/// through incremental parsing and nearest-centroid assignment while
+/// through hardened ingestion and nearest-centroid assignment while
 /// answering queries over HTTP from a hot-swapped index. The assignment
 /// log is a pure function of `(seed, flags)`: two same-seed runs write
 /// byte-identical files.
@@ -518,7 +501,6 @@ pub fn daemon(args: &Args) -> Result<(), String> {
     let refresh_every = args.get_count_usize("refresh-every", 16)?;
     let repair_every = args.get_count_usize("repair-every", 32)?;
     let drift_threshold = args.get_positive_f64("drift-threshold", 0.25)?;
-    let chunk_bytes = args.get_count_usize("chunk-bytes", 256)?;
     let interval_ms = args.get_u64("interval-ms", 0)?;
     let options = ServeOptions::new()
         .with_workers(args.get_count_usize("workers", 4)?)
@@ -598,7 +580,7 @@ pub fn daemon(args: &Args) -> Result<(), String> {
     let mut pending = 0usize;
     let mut refreshes = 0u64;
     for (url, html) in &form_pages[warmup..] {
-        let arrival = stream.ingest_chunks(chunk_html(html, chunk_bytes));
+        let arrival = stream.ingest_html(html);
         let status = match &arrival.outcome {
             cafc::PageOutcome::Ok => "ok",
             cafc::PageOutcome::Degraded { .. } => "degraded",

@@ -26,16 +26,17 @@
 //!
 //! cafc daemon [--pages N] [--seed S] [--warmup N] [--k N] [--port P]
 //!             [--repair-every N] [--refresh-every N] [--drift-threshold T]
-//!             [--chunk-bytes N] [--interval-ms MS] [--assignments FILE]
+//!             [--interval-ms MS] [--assignments FILE]
 //!             [--workers N] [--backlog N] [--rank ...] [--threads N]
 //!     Streaming mode: synthesize a seeded crawl, warm-start clusters on
-//!     the first `--warmup` pages, then stream the rest through the
-//!     incremental parser and nearest-centroid assignment while serving
-//!     queries — the index hot-swaps every `--refresh-every` kept pages,
-//!     so new sources appear in /search without a restart. A repair pass
-//!     (mini-batch reassignment + drift check, re-clustering past the
-//!     threshold) runs every `--repair-every` arrivals. `--assignments`
-//!     writes the per-page log; same seed, byte-identical file.
+//!     the first `--warmup` pages, then stream the rest one page at a time
+//!     through the batch ingest checks and nearest-centroid assignment
+//!     while serving queries — the index hot-swaps every `--refresh-every`
+//!     kept pages, so new sources appear in /search without a restart. A
+//!     repair pass (mini-batch reassignment + drift check, re-clustering
+//!     past the threshold) runs every `--repair-every` arrivals.
+//!     `--assignments` writes the per-page log; same seed, byte-identical
+//!     file.
 //!
 //! cafc loadgen --input DIR [--seed S] [--rate QPS] [--duration-ms MS]
 //!              [--vocab N] [--workers N] [--json FILE] [--digest FILE]
@@ -167,7 +168,7 @@ USAGE:
                   [--limit N] [--k N] [--threads N]
     cafc daemon   [--pages N] [--seed S] [--warmup N] [--k N] [--port P]
                   [--repair-every N] [--refresh-every N]
-                  [--drift-threshold T] [--chunk-bytes N] [--interval-ms MS]
+                  [--drift-threshold T] [--interval-ms MS]
                   [--assignments FILE] [--workers N] [--backlog N]
                   [--rank bm25|tfidf|fused] [--budget N]
                   [--limit N] [--threads N]

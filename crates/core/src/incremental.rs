@@ -90,11 +90,6 @@ impl IncrementalClusters {
         best
     }
 
-    /// Assign a batch, returning `(item, cluster)` pairs in input order.
-    pub fn add_batch(&mut self, space: &FormPageSpace<'_>, items: &[usize]) -> Vec<(usize, usize)> {
-        items.iter().map(|&i| (i, self.assign(space, i))).collect()
-    }
-
     /// Move `item` from cluster `from` to cluster `to` without touching
     /// sums or centroids. The repair pass in [`crate::stream`] applies a
     /// batch of moves and then refreshes every affected cluster exactly
@@ -189,8 +184,8 @@ mod tests {
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 8);
         let mut inc = IncrementalClusters::from_partition(&space, &partition);
-        let assigned = inc.add_batch(&space, &[4, 5, 6, 7]);
-        assert_eq!(assigned, vec![(4, 0), (5, 1), (6, 0), (7, 1)]);
+        let assigned: Vec<usize> = (4..8).map(|item| inc.assign(&space, item)).collect();
+        assert_eq!(assigned, vec![0, 1, 0, 1]);
         assert_eq!(inc.members()[0], vec![0, 1, 4, 6]);
         assert_eq!(inc.members()[1], vec![2, 3, 5, 7]);
     }
@@ -202,7 +197,9 @@ mod tests {
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 8);
         let mut inc = IncrementalClusters::from_partition(&space, &partition);
         assert_eq!(inc.drift(&space), 0.0);
-        inc.add_batch(&space, &[4, 5, 6, 7]);
+        for item in 4..8 {
+            inc.assign(&space, item);
+        }
         let drift = inc.drift(&space);
         assert!(drift > 0.0, "absorbing items must move centroids");
         assert!(
@@ -229,7 +226,9 @@ mod tests {
         let space = FormPageSpace::new(&corpus, FeatureConfig::combined());
         let partition = Partition::new(vec![vec![0, 1], vec![2, 3]], 8);
         let mut inc = IncrementalClusters::from_partition(&space, &partition);
-        inc.add_batch(&space, &[4, 5]);
+        for item in [4, 5] {
+            inc.assign(&space, item);
+        }
         let p = inc.to_partition(8);
         assert_eq!(p.num_assigned(), 6);
         assert_eq!(p.num_clusters(), 2);

@@ -645,7 +645,7 @@ pub(crate) fn emit_ingest_metrics(report: &IngestReport, obs: &Obs) {
 /// locations, FC) occurrence runs at the location's weight. A spent budget
 /// stops analysis, not parsing: title presence and [`ParseStats`] need the
 /// whole page.
-pub(crate) struct PageTerms<'p> {
+struct PageTerms<'p> {
     opts: &'p ModelOptions,
     dict: &'p mut TermDict,
     term_buf: &'p mut Vec<TermId>,
@@ -661,7 +661,7 @@ pub(crate) struct PageTerms<'p> {
 }
 
 /// What one pass over a page found.
-pub(crate) struct PageCounts {
+struct PageCounts {
     pc: CountsBuilder,
     fc: CountsBuilder,
     has_title: bool,
@@ -671,7 +671,7 @@ pub(crate) struct PageCounts {
 }
 
 impl<'p> PageTerms<'p> {
-    pub(crate) fn new(
+    fn new(
         opts: &'p ModelOptions,
         max_terms: usize,
         dict: &'p mut TermDict,
@@ -692,7 +692,7 @@ impl<'p> PageTerms<'p> {
     }
 
     /// Analyze one located text run.
-    pub(crate) fn run(&mut self, text: &str, location: TextLocation) {
+    fn run(&mut self, text: &str, location: TextLocation) {
         if self.budget_hit {
             return;
         }
@@ -716,7 +716,7 @@ impl<'p> PageTerms<'p> {
     }
 
     /// Fold the page's runs into per-term sums.
-    pub(crate) fn finish(mut self, has_title: bool, stats: ParseStats) -> PageCounts {
+    fn finish(mut self, has_title: bool, stats: ParseStats) -> PageCounts {
         self.pc.fold();
         self.fc.fold();
         PageCounts {
@@ -747,7 +747,8 @@ fn count_page(
 }
 
 /// Run one page through the hardened ingestion checks; `Some` counts mean
-/// the page is kept.
+/// the page is kept. Every batch page and every stream arrival
+/// ([`StreamCorpus`](crate::StreamCorpus)) takes this one path.
 ///
 /// Phase timings are recorded per page into `obs` histograms:
 /// `ingest.sanitize_us`, `ingest.analyze_us` (the time inside the analyzer)
@@ -802,12 +803,10 @@ pub(crate) fn ingest_page(
     page_outcome(page, reasons, obs)
 }
 
-/// The outcome taxonomy over one page's pass, however it was parsed: the
-/// batch path enters from [`ingest_page`], the streaming layer from a
-/// [`StreamingParser`](cafc_html::StreamingParser) over the same sink.
-/// `reasons` carries whatever degradations the caller's sanitize phase
-/// already found. Records `ingest.analyze_us`.
-pub(crate) fn page_outcome(
+/// The outcome taxonomy over one page's pass. `reasons` carries whatever
+/// degradations [`ingest_page`]'s sanitize phase already found. Records
+/// `ingest.analyze_us`.
+fn page_outcome(
     page: PageCounts,
     mut reasons: Vec<DegradedReason>,
     obs: &Obs,

@@ -2,8 +2,10 @@
 //!
 //! The batch pipeline parses, vectorizes, and clusters a finished corpus in
 //! one shot. [`StreamCorpus`] instead absorbs pages *as the crawler finds
-//! them*: each arrival is fed chunk-by-chunk through the incremental HTML
-//! parser, vectorized against the live [`TermDict`](cafc_text::TermDict) with the corpus's
+//! them*: each arrival runs the batch ingest path's hardened page pass
+//! (byte limits, control-character stripping, one parse straight into
+//! analysis, the ok / degraded / quarantined outcome), is vectorized
+//! against the live [`TermDict`](cafc_text::TermDict) with the corpus's
 //! per-space collection statistics (updated per arrival, so streamed
 //! vectors stay on the batch scale), appended to the corpus, and assigned
 //! to the nearest existing cluster centroid immediately — the paper's §5
@@ -27,15 +29,16 @@
 //!
 //! Observability: `stream.pages_assigned`, `stream.pages_quarantined`,
 //! `stream.repairs`, `stream.moved`, and `stream.reclusters` counters plus
-//! the `stream.drift` gauge.
+//! the `stream.drift` gauge; each arrival also records the batch pass's
+//! `ingest.sanitize_us`, `ingest.parse_us` and `ingest.analyze_us`
+//! histograms.
 
 use crate::incremental::IncrementalClusters;
 use crate::ingest::{IngestLimits, PageOutcome};
-use crate::model::{page_outcome, FormPageCorpus, ModelOptions, PageTerms};
+use crate::model::{ingest_page, FormPageCorpus, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{kmeans, KMeansOptions, Partition};
 use cafc_exec::{par_map_slice, ExecPolicy};
-use cafc_html::{strip_control_chars, LocatedSink, StreamingParser};
 use cafc_obs::Obs;
 use cafc_text::TermId;
 use cafc_vsm::{weigh, SparseVector};
@@ -198,89 +201,20 @@ impl StreamCorpus {
         self.streamed
     }
 
-    /// Stream one page in as HTML chunks: incremental parse, hardened
-    /// ingestion, vectorize against the live dictionary, append, assign.
-    ///
-    /// Chunks are pushed through a [`StreamingParser`] over the same
-    /// located-text sink as the batch pipeline, as they come — sanitized
-    /// per chunk (control-char stripping is per-character, so chunking
-    /// cannot change it) and truncated at the soft byte limit — so each
-    /// text run is analysed as it is parsed, under the same budget and
-    /// outcome taxonomy as the batch pipeline.
-    pub fn ingest_chunks<'a, I>(&mut self, chunks: I) -> Arrival
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
+    /// Stream one page in: the hardened page pass every batch page goes
+    /// through (limits, control-character stripping, one parse straight
+    /// into analysis, the outcome taxonomy), then vectorize against the
+    /// live dictionary, append and assign.
+    pub fn ingest_html(&mut self, html: &str) -> Arrival {
         self.streamed += 1;
-        let limits = self.config.limits;
-        let terms_before = self.corpus.dict.len();
-        let mut terms = PageTerms::new(
+        let (outcome, counts) = ingest_page(
+            html,
             &self.config.opts,
-            limits.max_terms,
+            &self.config.limits,
             &mut self.corpus.dict,
             &mut self.term_buf,
             &self.obs,
         );
-        let mut parser =
-            StreamingParser::with_sink(LocatedSink::new(|text, loc| terms.run(text, loc)));
-        let mut bytes_seen = 0usize;
-        let mut stripped_any = false;
-        let mut truncated = false;
-        for chunk in chunks {
-            if bytes_seen >= limits.hard_max_bytes {
-                // Past the hard limit the page is quarantined whatever its
-                // content; stop paying for parsing it.
-                bytes_seen += chunk.len();
-                continue;
-            }
-            // Soft limit: feed only the prefix that fits, on a char
-            // boundary — mid-tag cuts are what the streaming parser absorbs.
-            let budget = limits.soft_max_bytes.saturating_sub(bytes_seen);
-            bytes_seen += chunk.len();
-            let fed = if chunk.len() > budget {
-                truncated = true;
-                let mut cut = budget;
-                while cut > 0 && !chunk.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                &chunk[..cut]
-            } else {
-                chunk
-            };
-            let (clean, stripped) = strip_control_chars(fed);
-            stripped_any |= stripped;
-            parser.push_chunk(&clean);
-        }
-        let (sink, stats) = parser.finish_sink();
-        let has_title = sink.has_title();
-        let page = terms.finish(has_title, stats);
-        if bytes_seen > limits.hard_max_bytes {
-            // The text fed before the limit was known is forgotten, so the
-            // page leaves no terms behind.
-            self.corpus.dict.truncate(terms_before);
-            self.obs.incr("stream.pages_quarantined");
-            return Arrival {
-                page: None,
-                cluster: None,
-                outcome: PageOutcome::Quarantined {
-                    error: crate::ingest::IngestError::TooLarge {
-                        bytes: bytes_seen,
-                        limit: limits.hard_max_bytes,
-                    },
-                },
-                drift: None,
-                moved: None,
-                reclustered: false,
-            };
-        }
-        let mut reasons = Vec::new();
-        if truncated {
-            reasons.push(crate::ingest::DegradedReason::InputTruncated);
-        }
-        if stripped_any {
-            reasons.push(crate::ingest::DegradedReason::ControlCharsStripped);
-        }
-        let (outcome, counts) = page_outcome(page, reasons, &self.obs);
         let Some((pc_counts, fc_counts)) = counts else {
             self.obs.incr("stream.pages_quarantined");
             return Arrival {
@@ -333,9 +267,13 @@ impl StreamCorpus {
         }
     }
 
-    /// Stream one page in as a single HTML string.
-    pub fn ingest_html(&mut self, html: &str) -> Arrival {
-        self.ingest_chunks(std::iter::once(html))
+    /// [`StreamCorpus::ingest_html`] over the chunks' concatenation. Kept
+    /// under this name because the repository benchmark calls it.
+    pub fn ingest_chunks<'a, I>(&mut self, chunks: I) -> Arrival
+    where
+        I: IntoIterator<Item = &'a str>,
+    {
+        self.ingest_html(&chunks.into_iter().collect::<String>())
     }
 
     /// Run a repair pass now: mini-batch reassignment of the arrivals since
@@ -503,8 +441,7 @@ mod tests {
         );
         assert_eq!(sc.corpus().len(), 4, "quarantined page must not be kept");
         assert_eq!(sc.streamed(), 1);
-        // Its text was analysed as it was parsed, before the size was
-        // known; none of its terms may stay behind.
+        // Rejected before it is parsed: none of its terms are interned.
         assert_eq!(sc.corpus().dict.len(), terms);
         assert_eq!(sc.corpus().dict.get("zygot"), None);
     }

@@ -210,11 +210,6 @@ impl<'g, F: Fetcher> ChaosFetcher<'g, F> {
         }
     }
 
-    /// How many fetch attempts have been made against `page`.
-    pub fn attempts_for(&self, page: PageId) -> u64 {
-        self.attempts.get(&page).copied().unwrap_or(0)
-    }
-
     fn roll(&self, page: PageId, attempt: u64, salt: u64) -> f64 {
         Seed::new(self.config.seed).unit(u64::from(page.0), attempt, salt)
     }

@@ -47,7 +47,6 @@ pub mod dom;
 pub mod entities;
 pub mod extract;
 pub mod form;
-pub mod labels;
 pub mod sanitize;
 pub mod stream;
 pub mod tokenizer;
@@ -56,7 +55,6 @@ pub use coverage::{Coverage, CoverageMap, CoveragePoint};
 pub use dom::{parse_into, DocSink, Document, Node, NodeId, ParseStats, TreeSink};
 pub use extract::{located_text, LocatedSink, LocatedText, TextLocation};
 pub use form::{extract_forms, Form, FormField, FormFieldKind, FormMethod};
-pub use labels::{extract_labeled_fields, LabelSource, LabeledField};
 pub use sanitize::strip_control_chars;
 pub use stream::StreamingParser;
 pub use tokenizer::{Attribute, Token, Tokenizer};

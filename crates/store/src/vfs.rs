@@ -133,12 +133,6 @@ impl FaultKind {
             FaultKind::BitFlip => "bit-flip",
         }
     }
-
-    /// Whether the faulted call reports success (the damage is silent and
-    /// only checksum validation can find it).
-    pub fn is_silent(self) -> bool {
-        matches!(self, FaultKind::ShortWrite | FaultKind::BitFlip)
-    }
 }
 
 /// When [`ChaosFs`] injects faults.

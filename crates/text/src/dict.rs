@@ -18,10 +18,10 @@ impl TermId {
     }
 }
 
-/// An interner mapping terms to dense ids, assigned in first-intern order.
-/// [`TermDict::truncate`] can forget a suffix of them; ids below the cut
-/// never change. Each term's bytes are one shared allocation, which a
-/// clone of the dictionary shares (see [`TermDict::shares_prefix`]).
+/// An interner mapping terms to dense ids, assigned in first-intern order;
+/// it only appends, so an id never changes. Each term's bytes are one
+/// shared allocation, which a clone of the dictionary shares (see
+/// [`TermDict::shares_prefix`]).
 ///
 /// It also keeps a private memo for [`Analyzer`](crate::Analyzer): surface
 /// token → the term id analysis gave it, or `None` when analysis dropped
@@ -81,26 +81,12 @@ impl TermDict {
         self.terms.is_empty()
     }
 
-    /// Forget every term interned since the dictionary held `len` terms,
-    /// with the analysis memo entries that name one, so a page rejected
-    /// after its text was analysed leaves the ids of later terms unchanged.
-    pub fn truncate(&mut self, len: usize) {
-        if len >= self.terms.len() {
-            return;
-        }
-        for term in self.terms.drain(len..) {
-            self.by_term.remove(&*term);
-        }
-        self.memo
-            .retain(|_, term| term.is_none_or(|id| id.index() < len));
-    }
-
     /// True when the first `len` terms of `self` are provably those of
     /// `other`: both hold term `len - 1` in the same allocation (vacuously
-    /// true for `len == 0`). A dictionary only appends and truncates, and
-    /// interning always allocates, so that allocation sits at id `len - 1`
-    /// only in the dictionary that interned it and in clones of it that
-    /// were never truncated below `len`, which all share the ids before it.
+    /// true for `len == 0`). A dictionary only appends, and interning
+    /// always allocates, so that allocation sits at id `len - 1` only in the
+    /// dictionary that interned it and in its clones, which all share the
+    /// ids before it.
     /// Both hold the allocation, so its address cannot be reused by another
     /// term meanwhile. O(1): one pointer comparison.
     pub fn shares_prefix(&self, other: &TermDict, len: usize) -> bool {
@@ -181,23 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_forgets_later_terms() {
-        let mut d = TermDict::new();
-        d.intern("a");
-        d.memo_for((true, true));
-        let b = d.intern("b");
-        d.memo_put("as", Some(b));
-        d.memo_put("the", None);
-        d.truncate(1);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.get("b"), None);
-        assert_eq!(d.memo_get("as"), None);
-        assert_eq!(d.memo_get("the"), Some(None));
-        assert_eq!(d.intern("c"), TermId(1));
-    }
-
-    #[test]
-    fn clones_share_a_prefix_until_truncated_below_it() {
+    fn clones_share_a_prefix_and_fresh_dictionaries_do_not() {
         let mut d = TermDict::new();
         d.intern("a");
         d.intern("b");
@@ -211,11 +181,6 @@ mod tests {
         fresh.intern("a");
         fresh.intern("b");
         assert!(!fresh.shares_prefix(&d, 2));
-        // Cut below the prefix and refilled with the same term: not proven.
-        clone.truncate(1);
-        clone.intern("b");
-        assert!(!clone.shares_prefix(&d, 2));
-        assert!(clone.shares_prefix(&d, 1));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use cafc::{
     cafc_c, DegradedReason, FeatureConfig, FormPageCorpus, FormPageSpace, IngestError,
-    IngestLimits, IngestReport, KMeansOptions, ModelOptions, PageOutcome, TfScheme,
+    IngestLimits, IngestReport, KMeansOptions, ModelOptions, PageOutcome, StreamConfig,
+    StreamCorpus, TfScheme,
 };
 use cafc_check::corpus::clean_html_corpus;
 use cafc_check::gen::{from_slice, pairs, usizes, Gen};
@@ -550,5 +551,124 @@ fn a_page_without_text_is_kept_raw_but_quarantined_hardened() {
             }],
             "{page:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stream arrivals against the batch page loop
+// ---------------------------------------------------------------------
+
+/// One page for each thing the hardened checks look at.
+fn hostile_pages() -> Vec<String> {
+    vec![
+        // Clean.
+        "<title>Cheap flights</title><p>airfare deals travel</p>\
+         <form>Departure <input name=d></form>"
+            .to_owned(),
+        // Control characters inside a word.
+        "<title>Fares</title><p>Air\u{1}fare deals</p><form>Origin <input name=o></form>"
+            .to_owned(),
+        // Over the soft limit, with the form past the cut.
+        format!(
+            "<title>Hotels</title><p>hotel rooms</p>{}<form>Check-in <input name=c></form>",
+            "<b></b>".repeat(400)
+        ),
+        // Over the hard limit.
+        format!("<title>Cars</title><p>{}</p>", "zygote sedan ".repeat(500)),
+        // All markup.
+        "<div><span></span><br><img src=x.gif></div><form><input name=q></form>".to_owned(),
+        // No form.
+        "<title>Books</title><p>novels authors isbn</p>".to_owned(),
+        // No title.
+        "<p>jobs careers salary</p><form>Keywords <input name=k></form>".to_owned(),
+        // Past the term budget, so the form text is never analysed.
+        format!(
+            "<title>Music</title><p>{}</p><form>Artist <input name=a></form>",
+            "album song artist ".repeat(60)
+        ),
+    ]
+}
+
+/// `html` in `size`-byte pieces, each cut moved forward to a char boundary.
+fn chunks(html: &str, size: usize) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < html.len() {
+        let mut end = (start + size).min(html.len());
+        while !html.is_char_boundary(end) {
+            end += 1;
+        }
+        out.push(&html[start..end]);
+        start = end;
+    }
+    out
+}
+
+/// A stream that starts from an empty corpus and partition ends where one
+/// batch of the same pages does under the same limits: the same outcome
+/// per page, the same dictionary in id order and the same raw `pc_tf` for
+/// the kept pages, whether each page arrives whole or in 7- or 256-byte
+/// chunks.
+#[test]
+fn stream_arrivals_match_batch_ingest() {
+    use DegradedReason::*;
+    let pages = hostile_pages();
+    let opts = ModelOptions::default();
+    let limits = IngestLimits::new()
+        .with_soft_max_bytes(2_000)
+        .with_hard_max_bytes(6_000)
+        .with_max_terms(150);
+    let (batch, report) = FormPageCorpus::from_shards(
+        [&pages],
+        &opts,
+        &limits,
+        ExecPolicy::Serial,
+        &Obs::disabled(),
+    );
+    let degraded = |reasons: &[DegradedReason]| PageOutcome::Degraded {
+        reasons: reasons.to_vec(),
+    };
+    let quarantined = |error| PageOutcome::Quarantined { error };
+    assert_eq!(
+        report.outcomes,
+        [
+            PageOutcome::Ok,
+            degraded(&[ControlCharsStripped]),
+            degraded(&[InputTruncated, NoFormContent]),
+            quarantined(IngestError::TooLarge {
+                bytes: pages[3].len(),
+                limit: 6_000
+            }),
+            quarantined(IngestError::EmptyDocument),
+            degraded(&[NoFormContent]),
+            degraded(&[MissingTitle]),
+            degraded(&[TermBudgetExceeded, NoFormContent]),
+        ]
+    );
+
+    for size in [None, Some(7), Some(256)] {
+        let empty = FormPageCorpus::from_html(
+            std::iter::empty::<&str>(),
+            &opts,
+            ExecPolicy::Serial,
+            &Obs::disabled(),
+        );
+        let config = StreamConfig::new().with_opts(opts).with_limits(limits);
+        let mut stream = StreamCorpus::new(
+            empty,
+            &Partition::new(Vec::new(), 0),
+            config,
+            Obs::disabled(),
+        );
+        let outcomes: Vec<PageOutcome> = pages
+            .iter()
+            .map(|html| match size {
+                None => stream.ingest_html(html).outcome,
+                Some(size) => stream.ingest_chunks(chunks(html, size)).outcome,
+            })
+            .collect();
+        assert_eq!(outcomes, report.outcomes, "chunks of {size:?}");
+        assert_eq!(terms(stream.corpus()), terms(&batch), "chunks of {size:?}");
+        assert_eq!(stream.corpus().pc_tf, batch.pc_tf, "chunks of {size:?}");
     }
 }

@@ -9,8 +9,9 @@
 //! 3. One instrumented run covers every pipeline stage: ingestion, corpus
 //!    construction, seeding and clustering all leave metrics behind.
 //! 4. Each pipeline shape — every clustering algorithm, raw HTML with and
-//!    without ingest limits, graph input with anchor text — records
-//!    exactly the metric and span names pinned below.
+//!    without ingest limits, graph input with anchor text, a stream with
+//!    an index publish — records exactly the metric and span names pinned
+//!    below.
 //!
 //! Each run calls the stage functions the way `cafc cluster` does, with
 //! the clustering call inside a `cluster` span.
@@ -19,7 +20,7 @@ use cafc::obs::SpanSnapshot;
 use cafc::{
     cafc_c, cafc_ch, CafcChConfig, ExecPolicy, FeatureConfig, FormPageCorpus, FormPageSpace,
     HacOptions, HubClusterOptions, IngestLimits, KMeansOptions, Linkage, ManualClock, ModelOptions,
-    Obs, Partition,
+    Obs, Partition, SearchPipeline, StreamConfig, StreamCorpus,
 };
 use cafc_cluster::{bisecting_kmeans, hac, BisectOptions};
 use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation, SyntheticWeb};
@@ -438,10 +439,46 @@ const BISECT_GRAPH: &[&str] = &[
     "span corpus.vectorize",
 ];
 
+/// A stream over the mutated pages, warm-started on the first 16 clean
+/// ones, with repair passes (one re-clusters) and one index publish. Each
+/// arrival records the batch page pass's three phase histograms.
+const STREAM: &[&str] = &[
+    "counter index.build.chunks",
+    "counter index.build.items",
+    "counter index.builds.full",
+    "counter kmeans.assign.chunks",
+    "counter kmeans.assign.items",
+    "counter kmeans.iterations",
+    "counter kmeans.update.chunks",
+    "counter kmeans.update.items",
+    "counter stream.moved",
+    "counter stream.pages_assigned",
+    "counter stream.reclusters",
+    "counter stream.repairs",
+    "gauge corpus.pages",
+    "gauge corpus.terms",
+    "gauge index.postings",
+    "gauge index.shards",
+    "gauge index.terms",
+    "gauge kmeans.converged",
+    "gauge stream.drift",
+    "histogram index.build.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
+    "histogram kmeans.assign.chunk_us",
+    "histogram kmeans.moved_fraction",
+    "histogram kmeans.update.chunk_us",
+    "span kmeans.assign",
+    "span kmeans.update",
+    "span search.build",
+];
+
 /// Every pipeline shape records the same metric and span names as before
 /// the `x` / `x_exec` / `x_obs` triplets were folded into one function
 /// each: a stage that now receives a disabled handle drops its names from
-/// the list. The lists above were recorded from the triplet-era code.
+/// the list. The lists above were recorded from the triplet-era code, but
+/// for `STREAM`, recorded once arrivals ran the batch page pass.
 #[test]
 fn metric_names_match_the_recorded_lists() {
     let (clean, mutated) = target_html();
@@ -490,6 +527,25 @@ fn metric_names_match_the_recorded_lists() {
             bisecting_kmeans(space, &opts, rng, policy, obs);
         })
     };
+    let run_stream = |obs: &Obs| {
+        // Warm-started as `cafc daemon` does, recording nothing, so the
+        // names are the stream's and the publish's alone.
+        let warm = html(&clean[..16], &Obs::disabled());
+        let partition = {
+            let space = FormPageSpace::new(&warm, FeatureConfig::combined());
+            let mut rng = StdRng::seed_from_u64(2);
+            cafc_c(&space, 4, &kmeans, &mut rng, policy, &Obs::disabled()).partition
+        };
+        let config = StreamConfig::new().with_repair_interval(16);
+        let mut stream = StreamCorpus::new(warm, &partition, config, obs.clone());
+        for page in &mutated[16..] {
+            stream.ingest_html(page);
+        }
+        SearchPipeline::builder()
+            .obs(obs.clone())
+            .build()
+            .index(stream.corpus(), Some(&stream.partition()));
+    };
     let cases = [
         (
             "CAFC_C_HTML",
@@ -521,6 +577,7 @@ fn metric_names_match_the_recorded_lists() {
             names_of_run(|obs| run_bisect(&graph(false, obs), obs)),
             BISECT_GRAPH,
         ),
+        ("STREAM", names_of_run(run_stream), STREAM),
     ];
     for (case, names, expected) in cases {
         assert_eq!(names, expected, "metric names of {case}");
