@@ -1297,8 +1297,8 @@ pub fn bench(args: &Args) -> Result<(), String> {
     let k = args.get_usize("k", 8)?;
     let parallel = args.get_threads()?;
     // Only the parallel leg is instrumented: the serial leg is the timing
-    // baseline, and metrics like `corpus.vectorize.chunk_us` should
-    // describe the policy under examination.
+    // baseline, and metrics like `ingest.chunk_us` should describe the
+    // policy under examination.
     let obs = build_obs(args, parallel);
     let sizes: Vec<usize> = match args.get("sizes") {
         None => vec![120, 240, 480, 960],

@@ -88,13 +88,15 @@ fn cluster_metrics_snapshot_parses_and_covers_stages() {
         assert!(doc.get(key).is_some(), "snapshot missing {key:?}:\n{json}");
     }
     for metric in [
-        "corpus.vectorize.items",
+        "ingest.pages_total",
         "seed.hub_candidates",
         "kmeans.iterations",
         "exec.threads",
     ] {
         assert!(json.contains(metric), "snapshot missing {metric}:\n{json}");
     }
+    // The corpus is built by the hardened page pass, under its names.
+    assert!(!json.contains("corpus.vectorize"), "{json}");
     // --trace prints the span tree to stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("kmeans.assign"), "no span tree:\n{stderr}");

@@ -83,12 +83,6 @@ impl Partition {
         }
         a
     }
-
-    /// Drop empty clusters (renumbering the rest).
-    pub fn without_empty(mut self) -> Partition {
-        self.clusters.retain(|c| !c.is_empty());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -127,12 +121,5 @@ mod tests {
         let p = Partition::new(vec![vec![0]], 3);
         assert_eq!(p.num_assigned(), 1);
         assert_eq!(p.assignments()[2], None);
-    }
-
-    #[test]
-    fn without_empty() {
-        let p = Partition::new(vec![vec![], vec![0], vec![]], 1).without_empty();
-        assert_eq!(p.num_clusters(), 1);
-        assert_eq!(p.num_nonempty(), 1);
     }
 }

@@ -109,6 +109,19 @@ impl DegradedReason {
             DegradedReason::NoFormContent => "no-form-content",
         }
     }
+
+    /// The `ingest.degraded.<label>` counter that counts pages degraded
+    /// for this reason.
+    pub(crate) fn counter_name(self) -> &'static str {
+        match self {
+            DegradedReason::InputTruncated => "ingest.degraded.input-truncated",
+            DegradedReason::ControlCharsStripped => "ingest.degraded.control-chars-stripped",
+            DegradedReason::DepthCapped => "ingest.degraded.depth-capped",
+            DegradedReason::TermBudgetExceeded => "ingest.degraded.term-budget-exceeded",
+            DegradedReason::MissingTitle => "ingest.degraded.missing-title",
+            DegradedReason::NoFormContent => "ingest.degraded.no-form-content",
+        }
+    }
 }
 
 /// Per-page ingestion outcome.
@@ -370,6 +383,7 @@ mod tests {
                 .label()
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c == '-'));
+            assert_eq!(r.counter_name(), format!("ingest.degraded.{}", r.label()));
         }
     }
 }

@@ -16,11 +16,6 @@ use cafc_text::{Analyzer, TermDict, TermId};
 use cafc_vsm::{weigh, CountsBuilder, DocumentFrequencies, IdfScheme, SparseVector, TfScheme};
 use cafc_webgraph::{PageId, WebGraph};
 
-/// Pages per work unit when vectorization fans out. Fixed (never derived
-/// from the thread count) so chunk boundaries — and therefore term-id
-/// assignment order — are identical under every [`ExecPolicy`].
-pub(crate) const PAGE_CHUNK: usize = 16;
-
 /// The `LOC_i` factor of Equation 1: a multiplier per text location.
 ///
 /// The paper's §4.4 configuration: "for form contents, lower weights are
@@ -101,7 +96,10 @@ impl Default for LocationWeights {
 pub struct ModelOptions {
     /// Location weighting (Equation 1's `LOC_i`).
     pub weights: LocationWeights,
-    /// Text analysis pipeline (tokenize/stopword/stem).
+    /// The paper's text analysis. It has no options, and the model
+    /// analyses with [`Analyzer`] directly; the field stays because the
+    /// repository benchmark (`crates/benchmark`, frozen with its workload
+    /// definitions) reads it.
     pub analyzer: Analyzer,
     /// Term-frequency scheme (Equation 1 uses raw TF).
     pub tf: TfScheme,
@@ -118,12 +116,6 @@ impl ModelOptions {
     /// Set the location weighting.
     pub fn with_weights(mut self, weights: LocationWeights) -> Self {
         self.weights = weights;
-        self
-    }
-
-    /// Set the text analysis pipeline.
-    pub fn with_analyzer(mut self, analyzer: Analyzer) -> Self {
-        self.analyzer = analyzer;
         self
     }
 
@@ -180,18 +172,14 @@ impl FormPageCorpus {
         self.pc.is_empty()
     }
 
-    /// Build the model from raw HTML documents, keeping every page: no
-    /// limits and no outcomes (the hardened path is
-    /// [`FormPageCorpus::from_shards`]).
+    /// Build the model from raw HTML documents, keeping every page at its
+    /// input index: the hardened page pass of
+    /// [`FormPageCorpus::from_shards`] with no limits, in which a page the
+    /// pass quarantines (one with no analyzable text) keeps empty vectors.
     ///
-    /// Bit-identical for every `policy`: pages are vectorized in fixed-size
-    /// chunks against chunk-local term dictionaries, and the chunks are
-    /// re-based onto the shared dictionary in chunk order, which reproduces
-    /// the serial first-occurrence id assignment exactly.
+    /// Bit-identical for every `policy`, as `from_shards` is.
     ///
-    /// Emits, when `obs` has a sink: spans `corpus.vectorize` and
-    /// `corpus.tfidf`, per-chunk `corpus.vectorize.*` metrics, and gauges
-    /// `corpus.pages` / `corpus.terms`.
+    /// Emits, when `obs` has a sink, what `from_shards` emits.
     pub fn from_html<'a, I>(
         pages: I,
         opts: &ModelOptions,
@@ -202,7 +190,7 @@ impl FormPageCorpus {
         I: IntoIterator<Item = &'a str>,
     {
         let pages: Vec<&str> = pages.into_iter().collect();
-        let (dict, pc_counts, fc_counts) = vectorize(&pages, opts, policy, obs);
+        let (dict, pc_counts, fc_counts) = ingest_every_page(&pages, opts, policy, obs);
         Self::finish(dict, pc_counts, fc_counts, None, opts, policy, obs)
     }
 
@@ -223,7 +211,7 @@ impl FormPageCorpus {
         obs: &Obs,
     ) -> FormPageCorpus {
         let html: Vec<&str> = pages.iter().map(|&p| graph.html(p).unwrap_or("")).collect();
-        let (mut dict, pc_counts, fc_counts) = vectorize(&html, opts, policy, obs);
+        let (mut dict, pc_counts, fc_counts) = ingest_every_page(&html, opts, policy, obs);
 
         // The anchor pass interns into the merged dictionary on the calling
         // thread, after all page terms — exactly the serial interleaving.
@@ -261,7 +249,7 @@ impl FormPageCorpus {
                     if let Some(&target) = target_index.get(&url) {
                         let text = doc.text_content(node);
                         term_buf.clear();
-                        opts.analyzer.analyze_into(&text, &mut dict, &mut term_buf);
+                        Analyzer.analyze_into(&text, &mut dict, &mut term_buf);
                         counts[target].add_all(term_buf.iter().copied(), 1.0);
                     }
                 }
@@ -303,8 +291,8 @@ impl FormPageCorpus {
     /// counters and histograms aggregate commutatively), outcome counters
     /// `ingest.pages_total` / `ingest.pages_ok` / `ingest.pages_degraded` /
     /// `ingest.pages_quarantined`, one `ingest.degraded.<label>` counter per
-    /// [`DegradedReason`] observed, and the `corpus.tfidf` span and gauges
-    /// of [`FormPageCorpus::from_html`].
+    /// [`DegradedReason`], a `corpus.tfidf` span, and gauges
+    /// `corpus.pages` / `corpus.terms`.
     pub fn from_shards<I, S, P>(
         shards: I,
         opts: &ModelOptions,
@@ -399,77 +387,32 @@ impl FormPageCorpus {
     }
 }
 
-/// The raw page loop behind [`FormPageCorpus::from_html`] and
-/// [`FormPageCorpus::from_graph`]: every page counted with no limits, in
-/// fixed [`PAGE_CHUNK`]-page units against chunk-local dictionaries merged
-/// in chunk order, under a `corpus.vectorize` span.
-fn vectorize(
+/// The page pass behind [`FormPageCorpus::from_html`] and
+/// [`FormPageCorpus::from_graph`]: [`ingest_shards`] over `pages` with
+/// every limit lifted, and empty counts at the index of each page it
+/// quarantines.
+fn ingest_every_page(
     pages: &[&str],
     opts: &ModelOptions,
     policy: ExecPolicy,
     obs: &Obs,
 ) -> (TermDict, Vec<CountsBuilder>, Vec<CountsBuilder>) {
-    let _span = obs.span("corpus.vectorize");
-    let chunks = par_chunks_obs(
-        policy,
-        pages.len(),
-        PAGE_CHUNK,
-        obs,
-        "corpus.vectorize",
-        |range| {
-            let mut local = LocalVectors::default();
-            for &html in &pages[range] {
-                local.push(html, opts);
-            }
-            local
-        },
-    );
-    merge_local_vectors(chunks)
-}
-
-/// One chunk's worth of page vectors, keyed by a chunk-local dictionary.
-#[derive(Default)]
-struct LocalVectors {
-    dict: TermDict,
-    term_buf: Vec<TermId>,
-    pc: Vec<CountsBuilder>,
-    fc: Vec<CountsBuilder>,
-}
-
-impl LocalVectors {
-    /// Count one page, with no limits: the ingest pass without a budget.
-    fn push(&mut self, html: &str, opts: &ModelOptions) {
-        let page = count_page(
-            html,
-            opts,
-            usize::MAX,
-            &mut self.dict,
-            &mut self.term_buf,
-            &Obs::disabled(),
-        );
-        self.pc.push(page.pc);
-        self.fc.push(page.fc);
-    }
-}
-
-/// Re-base chunk-local term ids onto one shared dictionary, in chunk order.
-///
-/// Interning each chunk's terms in local-id order (= first-occurrence order
-/// within the chunk) reproduces the global first-occurrence order a serial
-/// pass would produce, so the merged dictionary and every remapped vector
-/// are identical to the single-dictionary construction.
-fn merge_local_vectors(
-    chunks: Vec<LocalVectors>,
-) -> (TermDict, Vec<CountsBuilder>, Vec<CountsBuilder>) {
-    let mut dict = TermDict::new();
-    let mut pc_counts = Vec::new();
-    let mut fc_counts = Vec::new();
-    for chunk in chunks {
-        let map: Vec<TermId> = chunk.dict.iter().map(|(_, t)| dict.intern(t)).collect();
-        pc_counts.extend(chunk.pc.into_iter().map(|c| c.remap(|id| map[id.index()])));
-        fc_counts.extend(chunk.fc.into_iter().map(|c| c.remap(|id| map[id.index()])));
-    }
-    (dict, pc_counts, fc_counts)
+    let limits = IngestLimits::new()
+        .with_hard_max_bytes(usize::MAX)
+        .with_soft_max_bytes(usize::MAX)
+        .with_max_terms(usize::MAX);
+    let merge = ingest_shards([pages], opts, &limits, policy, obs);
+    let mut kept = merge.pc_counts.into_iter().zip(merge.fc_counts);
+    let (pc_counts, fc_counts) = merge
+        .report
+        .outcomes
+        .iter()
+        .map(|outcome| {
+            let counts = if outcome.is_kept() { kept.next() } else { None };
+            counts.unwrap_or_default()
+        })
+        .unzip();
+    (merge.dict, pc_counts, fc_counts)
 }
 
 /// Estimated bytes per kept vector entry: one `(TermId, f64)` pair, the
@@ -597,7 +540,7 @@ where
         ingest_shard(shard.as_ref(), opts, limits, policy, obs, &mut merge);
     }
     drop(ingest_span);
-    emit_ingest_metrics(&merge.report, obs);
+    emit_ingest_metrics(&merge.report.outcomes, obs);
     merge
 }
 
@@ -626,16 +569,28 @@ pub(crate) fn ingest_shard<P: AsRef<str> + Sync>(
     }
 }
 
-/// Emit the standard `ingest.*` outcome counters for a finished report.
-pub(crate) fn emit_ingest_metrics(report: &IngestReport, obs: &Obs) {
-    if obs.is_enabled() {
-        obs.add("ingest.pages_total", report.total() as u64);
-        obs.add("ingest.pages_ok", report.ok() as u64);
-        obs.add("ingest.pages_degraded", report.degraded() as u64);
-        obs.add("ingest.pages_quarantined", report.quarantined() as u64);
-        for (reason, count) in report.reason_counts() {
-            obs.add(&format!("ingest.degraded.{}", reason.label()), count as u64);
-        }
+/// Add `outcomes` to the `ingest.*` outcome counters: `ingest.pages_total`,
+/// `ingest.pages_ok`, `ingest.pages_degraded`, `ingest.pages_quarantined`,
+/// and the pages degraded for each [`DegradedReason`] (every reason's
+/// counter is written, at zero when it did not occur). A batch counts its
+/// report here and a stream each arrival.
+pub(crate) fn emit_ingest_metrics(outcomes: &[PageOutcome], obs: &Obs) {
+    if !obs.is_enabled() {
+        return;
+    }
+    let count = |counted: &dyn Fn(&PageOutcome) -> bool| {
+        outcomes.iter().filter(|outcome| counted(outcome)).count() as u64
+    };
+    obs.add("ingest.pages_total", outcomes.len() as u64);
+    obs.add("ingest.pages_ok", count(&|o| *o == PageOutcome::Ok));
+    obs.add(
+        "ingest.pages_degraded",
+        count(&|o| matches!(o, PageOutcome::Degraded { .. })),
+    );
+    obs.add("ingest.pages_quarantined", count(&|o| !o.is_kept()));
+    for reason in DegradedReason::ALL {
+        let degraded_by = |o: &PageOutcome| matches!(o, PageOutcome::Degraded { reasons } if reasons.contains(&reason));
+        obs.add(reason.counter_name(), count(&degraded_by));
     }
 }
 
@@ -698,10 +653,7 @@ impl<'p> PageTerms<'p> {
         }
         let t0 = self.obs.start_timer();
         self.term_buf.clear();
-        self.budget_hit =
-            self.opts
-                .analyzer
-                .analyze_into_budget(text, self.dict, self.term_buf, self.budget);
+        self.budget_hit = Analyzer.analyze_into_budget(text, self.dict, self.term_buf, self.budget);
         if let (Some(t0), Some(t1)) = (t0, self.obs.start_timer()) {
             self.analyze_ns += t1.saturating_sub(t0);
         }

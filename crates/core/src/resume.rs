@@ -341,7 +341,7 @@ impl FormPageCorpus {
         }
         drop(ingest_span);
 
-        emit_ingest_metrics(&merge.report, obs);
+        emit_ingest_metrics(&merge.report.outcomes, obs);
         let corpus = Self::finish(
             merge.dict,
             merge.pc_counts,

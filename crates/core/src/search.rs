@@ -314,7 +314,6 @@ impl SearchPipeline {
             docs_tf: corpus.pc_tf.clone(),
             docs_tfidf: corpus.pc.clone(),
             dict,
-            analyzer: Analyzer::default(),
             obs: self.obs.clone(),
         }
     }
@@ -422,7 +421,6 @@ pub struct SearchIndex {
     docs_tf: Vec<SparseVector>,
     docs_tfidf: Vec<SparseVector>,
     dict: IndexDict,
-    analyzer: Analyzer,
     obs: Obs,
 }
 
@@ -469,8 +467,7 @@ impl SearchIndex {
     /// drop out (they cannot score anything).
     pub fn query_terms(&self, query: &str) -> Vec<TermId> {
         let mut probe = TermDict::new();
-        let mut terms: Vec<TermId> = self
-            .analyzer
+        let mut terms: Vec<TermId> = Analyzer
             .analyze(query, &mut probe)
             .iter()
             .filter_map(|&t| self.dict.get(probe.term(t)))

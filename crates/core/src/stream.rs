@@ -1,4 +1,4 @@
-//! Streaming ingestion with incremental clustering (ROADMAP item 1).
+//! Streaming ingestion with incremental clustering.
 //!
 //! The batch pipeline parses, vectorizes, and clusters a finished corpus in
 //! one shot. [`StreamCorpus`] instead absorbs pages *as the crawler finds
@@ -31,11 +31,13 @@
 //! `stream.repairs`, `stream.moved`, and `stream.reclusters` counters plus
 //! the `stream.drift` gauge; each arrival also records the batch pass's
 //! `ingest.sanitize_us`, `ingest.parse_us` and `ingest.analyze_us`
-//! histograms.
+//! histograms, and is counted in its outcome counters
+//! (`ingest.pages_total`, `ingest.pages_{ok,degraded,quarantined}` and
+//! `ingest.degraded.<reason>`) as a batch page is.
 
 use crate::incremental::IncrementalClusters;
 use crate::ingest::{IngestLimits, PageOutcome};
-use crate::model::{ingest_page, FormPageCorpus, ModelOptions};
+use crate::model::{emit_ingest_metrics, ingest_page, FormPageCorpus, ModelOptions};
 use crate::space::{FeatureConfig, FormPageSpace};
 use cafc_cluster::{kmeans, KMeansOptions, Partition};
 use cafc_exec::{par_map_slice, ExecPolicy};
@@ -203,8 +205,9 @@ impl StreamCorpus {
 
     /// Stream one page in: the hardened page pass every batch page goes
     /// through (limits, control-character stripping, one parse straight
-    /// into analysis, the outcome taxonomy), then vectorize against the
-    /// live dictionary, append and assign.
+    /// into analysis, the outcome taxonomy, counted in the batch's outcome
+    /// counters), then vectorize against the live dictionary, append and
+    /// assign.
     pub fn ingest_html(&mut self, html: &str) -> Arrival {
         self.streamed += 1;
         let (outcome, counts) = ingest_page(
@@ -215,6 +218,7 @@ impl StreamCorpus {
             &mut self.term_buf,
             &self.obs,
         );
+        emit_ingest_metrics(std::slice::from_ref(&outcome), &self.obs);
         let Some((pc_counts, fc_counts)) = counts else {
             self.obs.incr("stream.pages_quarantined");
             return Arrival {

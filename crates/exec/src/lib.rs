@@ -61,11 +61,6 @@ impl ExecPolicy {
                 .unwrap_or(1),
         }
     }
-
-    /// True when this policy resolves to more than one thread.
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
-    }
 }
 
 /// Default chunk length for element-wise maps. Fixed — never derived from
@@ -260,7 +255,6 @@ mod tests {
         assert_eq!(ExecPolicy::Parallel { threads: 4 }.threads(), 4);
         assert_eq!(ExecPolicy::Parallel { threads: 0 }.threads(), 1);
         assert!(ExecPolicy::Auto.threads() >= 1);
-        assert!(!ExecPolicy::Serial.is_parallel());
     }
 
     #[test]

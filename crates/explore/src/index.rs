@@ -49,7 +49,6 @@ pub struct ClusterIndex<'a> {
     /// Page-content centroid per cluster (possibly empty for empty clusters).
     centroids: Vec<SparseVector>,
     summaries: Vec<ClusterSummary>,
-    analyzer: Analyzer,
 }
 
 impl<'a> ClusterIndex<'a> {
@@ -145,7 +144,6 @@ impl<'a> ClusterIndex<'a> {
             corpus,
             centroids,
             summaries,
-            analyzer: Analyzer::default(),
         }
     }
 
@@ -163,7 +161,7 @@ impl<'a> ClusterIndex<'a> {
     /// dictionary, unit weight per distinct term.
     fn query_vector(&self, query: &str) -> SparseVector {
         let mut dict_probe = cafc_text::TermDict::new();
-        let terms = self.analyzer.analyze(query, &mut dict_probe);
+        let terms = Analyzer.analyze(query, &mut dict_probe);
         let entries: Vec<(cafc_text::TermId, f64)> = terms
             .iter()
             .filter_map(|&t| self.corpus.dict.get(dict_probe.term(t)))

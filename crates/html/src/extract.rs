@@ -275,16 +275,6 @@ fn replay<S: TreeSink>(doc: &Document, sink: &mut S) {
     }
 }
 
-/// Convenience: all text of the given location classes joined with spaces.
-pub fn text_in_locations(doc: &Document, locations: &[TextLocation]) -> String {
-    located_text(doc)
-        .into_iter()
-        .filter(|lt| locations.contains(&lt.location))
-        .map(|lt| lt.text)
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,16 +365,6 @@ mod tests {
         // Figure 1(c) in the paper: label outside the FORM tags.
         let got = extract("<b>Search Jobs</b><form><input name=q></form>");
         assert_eq!(got, vec![lt("Search Jobs", TextLocation::Body)]);
-    }
-
-    #[test]
-    fn text_in_locations_helper() {
-        let doc = parse("<title>A</title><p>B</p><form>C</form>");
-        assert_eq!(
-            text_in_locations(&doc, &[TextLocation::Title, TextLocation::Body]),
-            "A B"
-        );
-        assert_eq!(text_in_locations(&doc, &[TextLocation::FormText]), "C");
     }
 
     #[test]

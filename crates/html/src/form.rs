@@ -106,13 +106,6 @@ impl Form {
             .any(|f| f.kind == FormFieldKind::Password)
     }
 
-    /// Whether the form has any free-text input.
-    pub fn has_text_field(&self) -> bool {
-        self.fields
-            .iter()
-            .any(|f| matches!(f.kind, FormFieldKind::Text | FormFieldKind::Textarea))
-    }
-
     /// The labels on submit buttons (e.g. "Search", "Go", "Login").
     pub fn submit_labels(&self) -> impl Iterator<Item = &str> {
         self.fields
@@ -294,7 +287,6 @@ mod tests {
         assert_eq!(f.method, FormMethod::Get);
         assert_eq!(f.fields.len(), 2);
         assert!(f.is_single_attribute());
-        assert!(f.has_text_field());
         assert_eq!(f.submit_labels().collect::<Vec<_>>(), vec!["Search"]);
     }
 
@@ -407,6 +399,5 @@ mod tests {
         let f = one_form("<form></form>");
         assert!(f.fields.is_empty());
         assert_eq!(f.visible_field_count(), 0);
-        assert!(!f.has_text_field());
     }
 }

@@ -171,7 +171,6 @@ impl QueryMix {
     }
 
     fn build(dict: &IndexDict, docs: &[cafc_vsm::SparseVector], vocab: usize) -> QueryMix {
-        let analyzer = Analyzer::default();
         let mut cf = vec![0.0f64; dict.len()];
         for doc in docs {
             for &(term, tf) in doc.entries() {
@@ -191,7 +190,7 @@ impl QueryMix {
                 break;
             }
             let term = dict.term(cafc_text::TermId(index as u32));
-            if round_trips(&analyzer, dict, term) {
+            if round_trips(dict, term) {
                 terms.push(term.to_string());
             }
         }
@@ -239,9 +238,9 @@ impl QueryMix {
 }
 
 /// Does analyzing `term` yield exactly `term`'s own id back?
-fn round_trips(analyzer: &Analyzer, dict: &IndexDict, term: &str) -> bool {
+fn round_trips(dict: &IndexDict, term: &str) -> bool {
     let mut probe = TermDict::new();
-    let analyzed = analyzer.analyze(term, &mut probe);
+    let analyzed = Analyzer.analyze(term, &mut probe);
     analyzed.len() == 1 && dict.get(probe.term(analyzed[0])).map(|id| dict.term(id)) == Some(term)
 }
 

@@ -3,32 +3,14 @@
 use crate::dict::{TermDict, TermId};
 use crate::stem::stem;
 use crate::stopwords::is_stopword;
-use crate::tokenize::{for_each_token, TokenizeOptions};
+use crate::tokenize::for_each_token;
 use std::ops::ControlFlow;
 
-/// Configurable text analyzer.
-///
-/// The defaults mirror the paper's preprocessing: all words are stemmed,
-/// stopwords removed, numeric tokens dropped.
-#[derive(Debug, Clone, Copy)]
-pub struct Analyzer {
-    /// Tokenizer options.
-    pub tokenize: TokenizeOptions,
-    /// Remove stopwords (before stemming). Default true.
-    pub remove_stopwords: bool,
-    /// Apply the Porter stemmer. Default true.
-    pub stem: bool,
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer {
-            tokenize: TokenizeOptions::default(),
-            remove_stopwords: true,
-            stem: true,
-        }
-    }
-}
+/// The paper's text analysis (§2.1): tokens of 2–30 characters that are
+/// not all digits, stopwords removed, every word Porter-stemmed. It has no
+/// options.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
     /// Analyze `text` into a sequence of interned term ids (with repeats —
@@ -61,13 +43,12 @@ impl Analyzer {
         out: &mut Vec<TermId>,
         budget: usize,
     ) -> bool {
-        dict.memo_for((self.remove_stopwords, self.stem));
-        for_each_token(text, self.tokenize, |token| {
+        for_each_token(text, |token| {
             let id = match dict.memo_get(token) {
                 Some(Some(id)) => id,
                 Some(None) => return ControlFlow::Continue(()),
                 None => {
-                    let Some(term) = self.term(token) else {
+                    let Some(term) = term(token) else {
                         dict.memo_put(token, None);
                         return ControlFlow::Continue(());
                     };
@@ -88,24 +69,6 @@ impl Analyzer {
         .is_break()
     }
 
-    /// The term `token` analyses to, or `None` when analysis drops it.
-    fn term(&self, token: &str) -> Option<String> {
-        if self.remove_stopwords && is_stopword(token) {
-            return None;
-        }
-        let term = if self.stem {
-            stem(token)
-        } else {
-            token.to_owned()
-        };
-        // Stemming can collapse a content word onto a stopword ("ares"
-        // -> "are"); filter again post-stem so no stopword survives.
-        if term.is_empty() || (self.remove_stopwords && is_stopword(&term)) {
-            return None;
-        }
-        Some(term)
-    }
-
     /// Analyze into plain strings (for debugging and golden tests).
     pub fn analyze_to_strings(&self, text: &str) -> Vec<String> {
         let mut dict = TermDict::new();
@@ -116,13 +79,27 @@ impl Analyzer {
     }
 }
 
+/// The term `token` analyses to, or `None` when analysis drops it.
+fn term(token: &str) -> Option<String> {
+    if is_stopword(token) {
+        return None;
+    }
+    let term = stem(token);
+    // Stemming can collapse a content word onto a stopword ("ares"
+    // -> "are"); filter again post-stem so no stopword survives.
+    if term.is_empty() || is_stopword(&term) {
+        return None;
+    }
+    Some(term)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn full_pipeline() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         assert_eq!(
             a.analyze_to_strings("Searching for the cheapest flights to Paris!"),
             vec!["search", "cheapest", "flight", "pari"]
@@ -131,7 +108,7 @@ mod tests {
 
     #[test]
     fn repeats_preserved_for_tf() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut dict = TermDict::new();
         let ids = a.analyze("book books booking", &mut dict);
         // book, book, book — stem collapses all three to the same id.
@@ -140,32 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn stopword_removal_toggle() {
-        let no_stop = Analyzer {
-            remove_stopwords: false,
-            ..Default::default()
-        };
-        assert!(no_stop
-            .analyze_to_strings("the car")
-            .contains(&"the".to_owned()));
-        let with_stop = Analyzer::default();
-        assert!(!with_stop
-            .analyze_to_strings("the car")
-            .contains(&"the".to_owned()));
-    }
-
-    #[test]
-    fn stemming_toggle() {
-        let raw = Analyzer {
-            stem: false,
-            ..Default::default()
-        };
-        assert_eq!(raw.analyze_to_strings("flights"), vec!["flights"]);
-    }
-
-    #[test]
     fn shared_dict_across_documents() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut dict = TermDict::new();
         let d1 = a.analyze("cheap flights", &mut dict);
         let d2 = a.analyze("flights to denver", &mut dict);
@@ -175,7 +128,7 @@ mod tests {
 
     #[test]
     fn empty_text() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut dict = TermDict::new();
         assert!(a.analyze("", &mut dict).is_empty());
         assert!(a.analyze("   !!!   ", &mut dict).is_empty());
@@ -183,7 +136,7 @@ mod tests {
 
     #[test]
     fn budget_trims_and_reports() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut dict = TermDict::new();
         let mut out = Vec::new();
         let trimmed =
@@ -194,7 +147,7 @@ mod tests {
 
     #[test]
     fn budget_large_enough_matches_unbounded() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut dict = TermDict::new();
         let mut budgeted = Vec::new();
         let trimmed = a.analyze_into_budget(

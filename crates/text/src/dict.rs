@@ -26,18 +26,15 @@ impl TermId {
 /// It also keeps a private memo for [`Analyzer`](crate::Analyzer): surface
 /// token → the term id analysis gave it, or `None` when analysis dropped
 /// it (a stopword, an empty stem, or a stem that is a stopword). Analysis
-/// is a pure function of the token and the analyzer's
-/// `(remove_stopwords, stem)` flags, so the memo holds for the flags that
-/// filled it and is cleared when an analyzer with other flags calls in.
-/// It only caches: ids and term order are those of analysing every token
-/// afresh. The memo is never persisted; a dictionary rebuilt from its
-/// terms starts with an empty one.
+/// is a pure function of the token, so the memo only caches: ids and term
+/// order are those of analysing every token afresh. The memo is never
+/// persisted; a dictionary rebuilt from its terms starts with an empty
+/// one.
 #[derive(Debug, Default, Clone)]
 pub struct TermDict {
     by_term: HashMap<Arc<str>, TermId>,
     terms: Vec<Arc<str>>,
     memo: HashMap<Box<str>, Option<TermId>>,
-    memo_flags: Option<(bool, bool)>,
 }
 
 impl TermDict {
@@ -96,15 +93,6 @@ impl TermDict {
         match (self.terms.get(last), other.terms.get(last)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
-        }
-    }
-
-    /// Make the memo valid for analysis under `flags`
-    /// (`(remove_stopwords, stem)`), clearing it if other flags filled it.
-    pub(crate) fn memo_for(&mut self, flags: (bool, bool)) {
-        if self.memo_flags != Some(flags) {
-            self.memo.clear();
-            self.memo_flags = Some(flags);
         }
     }
 

@@ -12,7 +12,7 @@
 //! use cafc_text::{Analyzer, TermDict};
 //!
 //! let mut dict = TermDict::new();
-//! let analyzer = Analyzer::default();
+//! let analyzer = Analyzer;
 //! let terms = analyzer.analyze("Searching for the cheapest flights!", &mut dict);
 //! let words: Vec<_> = terms.iter().map(|&t| dict.term(t)).collect();
 //! // "for"/"the" are stopwords; remaining words are stemmed.

@@ -1,54 +1,35 @@
 //! Word tokenization.
 //!
 //! Splits text into lowercase word tokens on any non-alphanumeric boundary.
-//! Pure numbers are dropped by default (they are database *contents* —
-//! prices, years — not schema vocabulary), as are one-character tokens.
+//! Pure numbers are dropped (they are database *contents* — prices, years —
+//! not schema vocabulary), as are one-character tokens and tokens of more
+//! than 30 characters.
 
 use std::ops::ControlFlow;
 
-/// Tokenization options.
-#[derive(Debug, Clone, Copy)]
-pub struct TokenizeOptions {
-    /// Minimum token length in characters (default 2).
-    pub min_len: usize,
-    /// Maximum token length; longer tokens (base64 blobs, URLs that leaked
-    /// into text) are dropped (default 30).
-    pub max_len: usize,
-    /// Keep tokens consisting only of digits (default false).
-    pub keep_numbers: bool,
-}
+/// Shortest kept token, in characters.
+const MIN_LEN: usize = 2;
 
-impl Default for TokenizeOptions {
-    fn default() -> Self {
-        TokenizeOptions {
-            min_len: 2,
-            max_len: 30,
-            keep_numbers: false,
-        }
-    }
-}
+/// Longest kept token, in characters; longer tokens (base64 blobs, URLs
+/// that leaked into text) are dropped.
+const MAX_LEN: usize = 30;
 
-/// Tokenize with default options.
+/// Split `text` into its kept tokens.
 ///
 /// ```
 /// assert_eq!(cafc_text::tokenize("Cheap Flights, 2-for-1!"),
 ///            vec!["cheap", "flights", "for"]);
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
-    tokenize_with(text, TokenizeOptions::default())
-}
-
-/// Tokenize with explicit options.
-pub fn tokenize_with(text: &str, opts: TokenizeOptions) -> Vec<String> {
     let mut tokens = Vec::new();
-    let _ = for_each_token(text, opts, |token| {
+    let _ = for_each_token(text, |token| {
         tokens.push(token.to_owned());
         ControlFlow::Continue(())
     });
     tokens
 }
 
-/// Visit the tokens [`tokenize_with`] would return, in order, without
+/// Visit the tokens [`tokenize`] would return, in order, without
 /// allocating one `String` per token: each token is lowercased into one
 /// buffer reused across tokens, and `visit` sees it as a `&str`. Stops at
 /// the first [`ControlFlow::Break`] and returns it.
@@ -58,7 +39,7 @@ pub fn tokenize_with(text: &str, opts: TokenizeOptions) -> Vec<String> {
 /// every other character goes through `is_alphanumeric` and
 /// `to_lowercase`, so a multi-character lowercase (`'İ'` → `"i̇"`) counts
 /// every character it yields toward the length bounds.
-pub fn for_each_token<F>(text: &str, opts: TokenizeOptions, mut visit: F) -> ControlFlow<()>
+pub(crate) fn for_each_token<F>(text: &str, mut visit: F) -> ControlFlow<()>
 where
     F: FnMut(&str) -> ControlFlow<()>,
 {
@@ -66,23 +47,23 @@ where
     for c in text.chars() {
         if c.is_ascii() {
             if c.is_ascii_alphanumeric() {
-                token.push(c.to_ascii_lowercase(), opts);
+                token.push(c.to_ascii_lowercase());
                 continue;
             }
         } else if c.is_alphanumeric() {
             for lower in c.to_lowercase() {
-                token.push(lower, opts);
+                token.push(lower);
             }
             continue;
         }
-        token.flush(opts, &mut visit)?;
+        token.flush(&mut visit)?;
     }
-    token.flush(opts, &mut visit)
+    token.flush(&mut visit)
 }
 
-/// The token being read: its text (kept only while it fits
-/// [`TokenizeOptions::max_len`], since a longer one is dropped anyway),
-/// its length in characters and whether any character is not a digit.
+/// The token being read: its text (kept only while it fits [`MAX_LEN`],
+/// since a longer one is dropped anyway), its length in characters and
+/// whether any character is not a digit.
 #[derive(Default)]
 struct Token {
     text: String,
@@ -92,25 +73,24 @@ struct Token {
 
 impl Token {
     /// Append one (lowercase) character.
-    fn push(&mut self, c: char, opts: TokenizeOptions) {
+    fn push(&mut self, c: char) {
         self.non_digit |= !c.is_ascii_digit();
         self.chars += 1;
-        if self.chars <= opts.max_len {
+        if self.chars <= MAX_LEN {
             self.text.push(c);
         }
     }
 
     /// Hand a finished token that passes the filters to `visit`, and
     /// start the next one.
-    fn flush<F>(&mut self, opts: TokenizeOptions, visit: &mut F) -> ControlFlow<()>
+    fn flush<F>(&mut self, visit: &mut F) -> ControlFlow<()>
     where
         F: FnMut(&str) -> ControlFlow<()>,
     {
         if self.chars == 0 {
             return ControlFlow::Continue(());
         }
-        let keep = (opts.min_len..=opts.max_len).contains(&self.chars)
-            && (opts.keep_numbers || self.non_digit);
+        let keep = (MIN_LEN..=MAX_LEN).contains(&self.chars) && self.non_digit;
         let flow = if keep {
             visit(&self.text)
         } else {
@@ -148,15 +128,6 @@ mod tests {
     #[test]
     fn numbers_dropped_by_default() {
         assert_eq!(tokenize("room 101 deluxe"), vec!["room", "deluxe"]);
-    }
-
-    #[test]
-    fn numbers_kept_when_asked() {
-        let opts = TokenizeOptions {
-            keep_numbers: true,
-            ..Default::default()
-        };
-        assert_eq!(tokenize_with("room 101", opts), vec!["room", "101"]);
     }
 
     #[test]

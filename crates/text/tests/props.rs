@@ -8,9 +8,8 @@
 //! bottom of this file.
 
 use cafc_check::corpus::any_text;
-use cafc_check::gen::{bools, from_slice, one_of, pairs, usizes, vecs, Gen};
+use cafc_check::gen::{from_slice, one_of, pairs, usizes, vecs, Gen};
 use cafc_check::{check, require, require_eq, CaseResult, CheckConfig};
-use cafc_text::tokenize::{tokenize_with, TokenizeOptions};
 use cafc_text::{is_stopword, stem, tokenize, Analyzer, TermDict, TermId};
 use std::collections::BTreeSet;
 
@@ -32,28 +31,50 @@ fn unicode_text(max_pieces: usize) -> Gen<String> {
     vecs(&one_of(&[scalar, any_text(3)]), 0, max_pieces).map(|pieces| pieces.concat())
 }
 
-/// [`unicode_text`] with non-ASCII letters and digits mixed in. `'İ'`
-/// lowercases to two characters, the second a combining mark that is not
-/// alphanumeric, so its tokens fail [`tokens_are_clean`] under both the
-/// visitor and the reference tokenizer; only the differential test uses
-/// this generator.
+/// Words at the tokenizer's bounds, each between spaces so that it is one
+/// token: 1, 2, 30 and 31 letters; all-digit words of 1, 2, 4 and 30
+/// digits; and 29 letters followed by an `'İ'`, which lowercases to two
+/// characters, so the 30th character of the word makes a 31-character
+/// token.
+fn bound_words() -> Gen<String> {
+    let words = [
+        "a".to_owned(),
+        "ab".to_owned(),
+        "x".repeat(30),
+        "y".repeat(31),
+        "7".to_owned(),
+        "42".to_owned(),
+        "2024".to_owned(),
+        "9".repeat(30),
+        format!("{}İ", "z".repeat(29)),
+    ];
+    from_slice(&words).map(|w| format!(" {w} "))
+}
+
+/// [`unicode_text`] with non-ASCII letters and digits and the
+/// [`bound_words`] mixed in. `'İ'` lowercases to two characters, the
+/// second a combining mark that is not alphanumeric, so its tokens fail
+/// [`tokens_are_clean`] under both the visitor and the reference
+/// tokenizer; only the differential test uses this generator.
 fn unicode_letters_text(max_pieces: usize) -> Gen<String> {
     let letters = from_slice(&["İ", "É", "ß", "Σ", "ǅ", "٣", "Ⅻ", "K"]).map(|s| (*s).to_owned());
-    vecs(&one_of(&[unicode_text(4), letters]), 0, max_pieces).map(|pieces| pieces.concat())
+    vecs(
+        &one_of(&[unicode_text(4), letters, bound_words()]),
+        0,
+        max_pieces,
+    )
+    .map(|pieces| pieces.concat())
 }
 
 /// The tokenizer as it was before the visitor: one owned, lowercased
-/// `String` per token, filtered by its character count. The oracle for
-/// [`tokenize_with`].
-fn reference_tokenize(text: &str, opts: TokenizeOptions) -> Vec<String> {
+/// `String` per token, kept when it has 2 to 30 characters and is not all
+/// digits. The oracle for [`tokenize`].
+fn reference_tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     let mut push = |token: String| {
         let len = token.chars().count();
-        if len < opts.min_len || len > opts.max_len {
-            return;
-        }
-        if !opts.keep_numbers && token.chars().all(|c| c.is_ascii_digit()) {
+        if !(2..=30).contains(&len) || token.chars().all(|c| c.is_ascii_digit()) {
             return;
         }
         tokens.push(token);
@@ -71,44 +92,35 @@ fn reference_tokenize(text: &str, opts: TokenizeOptions) -> Vec<String> {
     tokens
 }
 
-/// Tokenizer options with small length bounds, so both bounds bind.
-fn tokenize_options() -> Gen<TokenizeOptions> {
-    pairs(&pairs(&usizes(0, 4), &usizes(0, 12)), &bools()).map(|((min_len, max_len), keep)| {
-        TokenizeOptions {
-            min_len: *min_len,
-            max_len: *max_len,
-            keep_numbers: *keep,
-        }
-    })
-}
-
 /// The visitor tokenizer returns exactly the oracle's tokens, for any
-/// Unicode text and any length bounds.
+/// Unicode text, words at the length bounds and all-digit words included.
 #[test]
 fn visitor_tokenizer_matches_owned_string_oracle() {
-    let cases = pairs(&unicode_letters_text(60), &tokenize_options());
-    check!(CheckConfig::new(), cases, |(text, opts)| {
-        require_eq!(tokenize_with(text, *opts), reference_tokenize(text, *opts));
-        Ok(())
-    });
+    check!(
+        CheckConfig::new(),
+        unicode_letters_text(60),
+        |text: &String| {
+            require_eq!(tokenize(text), reference_tokenize(text));
+            Ok(())
+        }
+    );
 }
 
 /// Analysis as it was before the memo: every token tokenized, filtered,
 /// stemmed and interned afresh, except that a budget trips only on a term
 /// that would not fit (never interned), not on a dropped token.
 fn reference_analyze(
-    analyzer: &Analyzer,
     text: &str,
     dict: &mut TermDict,
     out: &mut Vec<TermId>,
     budget: usize,
 ) -> bool {
-    for token in reference_tokenize(text, analyzer.tokenize) {
-        if analyzer.remove_stopwords && is_stopword(&token) {
+    for token in reference_tokenize(text) {
+        if is_stopword(&token) {
             continue;
         }
-        let term = if analyzer.stem { stem(&token) } else { token };
-        if term.is_empty() || (analyzer.remove_stopwords && is_stopword(&term)) {
+        let term = stem(&token);
+        if term.is_empty() || is_stopword(&term) {
             continue;
         }
         if out.len() >= budget {
@@ -117,19 +129,6 @@ fn reference_analyze(
         out.push(dict.intern(&term));
     }
     false
-}
-
-/// The analyzer with flag bits `b`: remove stopwords (1), stem (2), keep
-/// numbers (4).
-fn analyzer(b: usize) -> Analyzer {
-    Analyzer {
-        tokenize: TokenizeOptions {
-            keep_numbers: b & 4 != 0,
-            ..TokenizeOptions::default()
-        },
-        remove_stopwords: b & 1 != 0,
-        stem: b & 2 != 0,
-    }
 }
 
 /// Texts over a small vocabulary, so tokens repeat: stopwords, words that
@@ -169,27 +168,27 @@ fn repetitive_text() -> Gen<String> {
 }
 
 /// One step against a shared dictionary: `None` rebuilds the dictionary
-/// from its terms, `Some` analyses a text with flag bits and a budget
-/// (12 stands for `usize::MAX`).
-type Step = Option<(usize, (String, usize))>;
+/// from its terms, `Some` analyses a text under a budget (12 stands for
+/// `usize::MAX`).
+type Step = Option<(String, usize)>;
 
 fn steps() -> Gen<Vec<Step>> {
-    let analyze = pairs(&usizes(0, 7), &pairs(&repetitive_text(), &usizes(0, 12)));
+    let analyze = pairs(&repetitive_text(), &usizes(0, 12));
     let step = pairs(&usizes(0, 5), &analyze).map(|(op, a)| (*op > 0).then(|| a.clone()));
     vecs(&step, 1, 12)
 }
 
 /// Memoized analysis equals the reference step for step: the same ids,
 /// the same trim flag and, at the end, the same dictionary in the same
-/// order — with random budgets, analyzers of different flags sharing one
-/// dictionary, and the dictionary rebuilt from its terms mid-way.
+/// order — with random budgets, several texts sharing one dictionary, and
+/// the dictionary rebuilt from its terms mid-way.
 #[test]
 fn memoized_analysis_matches_reference() {
     check!(CheckConfig::new(), steps(), |steps: &Vec<Step>| {
         let mut dict = TermDict::new();
         let mut reference = TermDict::new();
         for step in steps {
-            let Some((flags, (text, budget))) = step else {
+            let Some((text, budget)) = step else {
                 let mut rebuilt = TermDict::new();
                 for (_, term) in dict.iter() {
                     rebuilt.intern(term);
@@ -197,11 +196,10 @@ fn memoized_analysis_matches_reference() {
                 dict = rebuilt;
                 continue;
             };
-            let a = analyzer(*flags);
             let budget = if *budget == 12 { usize::MAX } else { *budget };
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            let trimmed = a.analyze_into_budget(text, &mut dict, &mut got, budget);
-            let want_trimmed = reference_analyze(&a, text, &mut reference, &mut want, budget);
+            let trimmed = Analyzer.analyze_into_budget(text, &mut dict, &mut got, budget);
+            let want_trimmed = reference_analyze(text, &mut reference, &mut want, budget);
             require_eq!(got, want);
             require_eq!(trimmed, want_trimmed);
         }
@@ -283,7 +281,7 @@ fn tokens_ignore_surrounding_punctuation() {
 
 fn analyzer_output_is_clean_on(text: &str) -> CaseResult {
     let mut dict = TermDict::new();
-    for id in Analyzer::default().analyze(text, &mut dict) {
+    for id in Analyzer.analyze(text, &mut dict) {
         let term = dict.term(id);
         require!(!term.is_empty(), "empty term from {text:?}");
         require!(!is_stopword(term), "stopword {term:?} from {text:?}");
@@ -336,20 +334,13 @@ fn memo_cost_when_every_token_is_distinct() {
         })
         .collect();
     let text = words.join(" ");
-    let analyzer = Analyzer::default();
     let (mut memo, mut reference) = (f64::MAX, f64::MAX);
     for _ in 0..5 {
         let start = std::time::Instant::now();
-        analyzer.analyze_into(&text, &mut TermDict::new(), &mut Vec::new());
+        Analyzer.analyze_into(&text, &mut TermDict::new(), &mut Vec::new());
         memo = memo.min(start.elapsed().as_secs_f64());
         let start = std::time::Instant::now();
-        reference_analyze(
-            &analyzer,
-            &text,
-            &mut TermDict::new(),
-            &mut Vec::new(),
-            usize::MAX,
-        );
+        reference_analyze(&text, &mut TermDict::new(), &mut Vec::new(), usize::MAX);
         reference = reference.min(start.elapsed().as_secs_f64());
     }
     let per_token = |s: f64| s / words.len() as f64 * 1e9;

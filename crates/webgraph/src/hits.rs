@@ -29,19 +29,6 @@ impl HitsScores {
     pub fn authority(&self, id: PageId) -> f64 {
         self.authority.get(id.index()).copied().unwrap_or(0.0)
     }
-
-    /// Pages sorted by descending hub score.
-    pub fn top_hubs(&self, k: usize) -> Vec<(PageId, f64)> {
-        let mut v: Vec<(PageId, f64)> = self
-            .hub
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (PageId(i as u32), s)) // score vectors are indexed by u32 PageIds
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        v.truncate(k);
-        v
-    }
 }
 
 /// HITS options.
@@ -166,19 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn top_hubs_sorted() {
-        let (g, h1, ..) = fixture();
-        let scores = hits(&g, &HitsOptions::default());
-        let top = scores.top_hubs(2);
-        assert_eq!(top[0].0, h1);
-        assert!(top[0].1 >= top[1].1);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = WebGraph::new();
         let scores = hits(&g, &HitsOptions::default());
-        assert!(scores.top_hubs(5).is_empty());
+        assert!(scores.hub.is_empty());
+        assert!(scores.authority.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use cafc_corpus::{generate, mutate_page, page_rng, CorpusConfig, Mutation};
 use cafc_exec::ExecPolicy;
 use cafc_html::{strip_control_chars, Document, Node, NodeId, TextLocation};
 use cafc_obs::Obs;
-use cafc_text::{TermDict, TermId};
+use cafc_text::{Analyzer, TermDict, TermId};
 use cafc_vsm::{CountsBuilder, DocumentFrequencies, SparseVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -296,12 +296,8 @@ fn reference_ingest(
         let mut terms = Vec::new();
         for (text, loc) in reference_runs(&doc) {
             terms.clear();
-            let hit = opts.analyzer.analyze_into_budget(
-                &text,
-                &mut dict,
-                &mut terms,
-                limits.max_terms - used,
-            );
+            let hit =
+                Analyzer.analyze_into_budget(&text, &mut dict, &mut terms, limits.max_terms - used);
             used += terms.len();
             let w = opts.weights.weight(loc);
             for &t in &terms {
@@ -446,7 +442,8 @@ fn ingest_matches_dom_reference() {
 }
 
 // ---------------------------------------------------------------------
-// The raw page loop (`from_html`) against the hardened one (`from_shards`)
+// `from_html`, which keeps every page at its index, against `from_shards`,
+// which keeps only the pages the page pass does not quarantine
 // ---------------------------------------------------------------------
 
 /// Hardened ingestion with every limit lifted.
@@ -458,7 +455,7 @@ fn unlimited() -> IngestLimits {
         .with_max_corpus_bytes(usize::MAX)
 }
 
-fn raw(pages: &[&str]) -> FormPageCorpus {
+fn every_page(pages: &[&str]) -> FormPageCorpus {
     let opts = ModelOptions::default();
     FormPageCorpus::from_html(
         pages.iter().copied(),
@@ -479,67 +476,120 @@ fn hardened(pages: &[&str]) -> (FormPageCorpus, IngestReport) {
     )
 }
 
-/// On clean pages the two loops agree bit for bit once every limit is
-/// lifted: the dictionary, `pc`, `pc_tf`, `fc` and both DF tables. Pinned
-/// on the 80 form pages of `CorpusConfig::small(7)` and on generated
-/// corpora.
+/// `from_html` over `pages` against unlimited `from_shards`, returning how
+/// many pages the latter quarantined. With none quarantined the two
+/// corpora are bit-identical: the dictionary, `pc`, `pc_tf`, `fc` and both
+/// DF tables. Otherwise `from_html` keeps empty vectors at each
+/// quarantined page's index, and the same dictionary and `pc_tf` at every
+/// other; `pc` and `fc` differ, because its IDF counts every page.
+fn keeps_every_page(pages: &[&str]) -> Result<usize, String> {
+    let (kept, report) = hardened(pages);
+    let all = every_page(pages);
+    let quarantined = report.quarantined();
+    if quarantined == 0 {
+        require!(
+            corpus_bits(&kept) == corpus_bits(&all),
+            "from_html and unlimited from_shards differ with no page quarantined"
+        );
+        return Ok(quarantined);
+    }
+    require_eq!(all.len(), pages.len());
+    require_eq!(terms(&all), terms(&kept));
+    let mut kept_pages = report.kept.iter().enumerate().peekable();
+    for (i, outcome) in report.outcomes.iter().enumerate() {
+        match kept_pages.next_if(|&(_, &input)| input == i) {
+            Some((corpus_index, _)) => {
+                require!(
+                    all.pc_tf[i] == kept.pc_tf[corpus_index],
+                    "pc_tf of page {i} differs"
+                );
+            }
+            None => {
+                require!(!outcome.is_kept(), "page {i}: {outcome:?}");
+                for (space, v) in [&all.pc, &all.pc_tf, &all.fc].into_iter().enumerate() {
+                    require!(v[i].nnz() == 0, "page {i} has terms in space {space}");
+                }
+            }
+        }
+    }
+    Ok(quarantined)
+}
+
+/// `from_html` keeps every page at its input index and otherwise builds
+/// what unlimited `from_shards` builds (see [`keeps_every_page`]). Pinned
+/// on the 80 form pages of `CorpusConfig::small(7)`, on their mutated
+/// variants (every `Mutation`, two per page), on those with three pages
+/// without text added, and on generated corpora.
 #[test]
-fn from_html_matches_unlimited_from_shards_on_clean_pages() {
+fn from_html_keeps_every_page_of_unlimited_from_shards() {
     let web = generate(&CorpusConfig::small(7));
-    let pages: Vec<&str> = web
+    let clean: Vec<String> = web
         .form_page_ids()
         .iter()
-        .map(|&p| web.graph.html(p).unwrap_or(""))
+        .map(|&p| web.graph.html(p).unwrap_or("").to_owned())
         .collect();
-    assert_eq!(pages.len(), 80);
-    let (corpus, report) = hardened(&pages);
-    assert_eq!(report.kept.len(), pages.len(), "no page quarantined");
-    assert_eq!(corpus_bits(&corpus), corpus_bits(&raw(&pages)));
+    assert_eq!(clean.len(), 80);
+    let refs: Vec<&str> = clean.iter().map(String::as_str).collect();
+    assert_eq!(keeps_every_page(&refs), Ok(0));
+    let mutated = mutated(&clean, 5);
+    let mut refs: Vec<&str> = mutated.iter().map(String::as_str).collect();
+    assert_eq!(keeps_every_page(&refs), Ok(0));
+    // Pages with no analyzable text first in, inside and last in a
+    // 16-page unit of the page pass.
+    for (at, page) in [
+        (0, ""),
+        (20, "<form><input name=q></form>"),
+        (47, "the of and"),
+    ] {
+        refs.insert(at, page);
+    }
+    assert_eq!(keeps_every_page(&refs), Ok(3));
 
     check!(cfg(), clean_html_corpus(1, 8), |pages: &Vec<String>| {
         let pages: Vec<&str> = pages.iter().map(String::as_str).collect();
-        let (corpus, report) = hardened(&pages);
-        require_eq!(report.kept.len(), pages.len());
-        require!(
-            corpus_bits(&corpus) == corpus_bits(&raw(&pages)),
-            "from_html and unlimited from_shards differ on clean pages"
-        );
+        keeps_every_page(&pages)?;
         Ok(())
     });
 }
 
-/// The terms a one-page corpus interned, in id order.
+/// The terms a corpus interned, in id order.
 fn terms(corpus: &FormPageCorpus) -> Vec<String> {
     corpus.dict.iter().map(|(_, t)| t.to_owned()).collect()
 }
 
-/// First divergence: the hardened loop strips control characters before
-/// parsing, which joins the words on either side. The raw loop's tokenizer
-/// splits on them instead.
+/// Every page pass strips control characters before parsing, which joins
+/// the words on either side: `from_html`, `from_shards` and a stream
+/// arrival.
 #[test]
-fn control_characters_split_raw_words_but_join_hardened_ones() {
+fn control_characters_join_words_in_every_page_pass() {
     let page = ["<p>Air\u{1}fare deals</p>"];
-    assert_eq!(terms(&raw(&page)), ["air", "fare", "deal"]);
+    let outcome = PageOutcome::Degraded {
+        reasons: vec![
+            DegradedReason::ControlCharsStripped,
+            DegradedReason::MissingTitle,
+            DegradedReason::NoFormContent,
+        ],
+    };
+    assert_eq!(terms(&every_page(&page)), ["airfar", "deal"]);
     let (corpus, report) = hardened(&page);
     assert_eq!(terms(&corpus), ["airfar", "deal"]);
-    assert_eq!(
-        report.outcomes,
-        [PageOutcome::Degraded {
-            reasons: vec![
-                DegradedReason::ControlCharsStripped,
-                DegradedReason::MissingTitle,
-                DegradedReason::NoFormContent,
-            ]
-        }]
+    assert_eq!(report.outcomes, std::slice::from_ref(&outcome));
+    let mut stream = StreamCorpus::new(
+        every_page(&[]),
+        &Partition::new(Vec::new(), 0),
+        StreamConfig::new().with_limits(unlimited()),
+        Obs::disabled(),
     );
+    assert_eq!(stream.ingest_html(page[0]).outcome, outcome);
+    assert_eq!(terms(stream.corpus()), ["airfar", "deal"]);
 }
 
-/// Second divergence: a page with no analyzable text is kept by the raw
-/// loop, with empty vectors, and quarantined by the hardened one.
+/// A page with no analyzable text: `from_html` keeps it at its index with
+/// empty vectors, and `from_shards` quarantines it.
 #[test]
 fn a_page_without_text_is_kept_raw_but_quarantined_hardened() {
     for page in ["", "<form><input name=q></form>", "<p>the of and</p>"] {
-        let corpus = raw(&[page]);
+        let corpus = every_page(&[page]);
         assert_eq!(corpus.len(), 1, "{page:?}");
         assert_eq!(corpus.pc_tf[0].nnz(), 0, "{page:?}");
         let (corpus, report) = hardened(&[page]);
@@ -647,12 +697,7 @@ fn stream_arrivals_match_batch_ingest() {
     );
 
     for size in [None, Some(7), Some(256)] {
-        let empty = FormPageCorpus::from_html(
-            std::iter::empty::<&str>(),
-            &opts,
-            ExecPolicy::Serial,
-            &Obs::disabled(),
-        );
+        let empty = every_page(&[]);
         let config = StreamConfig::new().with_opts(opts).with_limits(limits);
         let mut stream = StreamCorpus::new(
             empty,

@@ -128,7 +128,7 @@ fn graph_snapshot_covers_all_stages() {
         "\"histograms\"",
         "\"spans\"",
         // corpus construction
-        "\"corpus.vectorize.items\"",
+        "\"ingest.pages_total\"",
         "\"corpus.pages\"",
         "\"corpus.terms\"",
         // seeding
@@ -278,9 +278,21 @@ fn target_html() -> (Vec<String>, Vec<String>) {
 }
 
 /// CAFC-C over raw HTML, no ingest limits: `from_html` and `cafc_c`.
+/// `from_html` is the page pass of `from_shards`, so it records the same
+/// `ingest` names.
 const CAFC_C_HTML: &[&str] = &[
-    "counter corpus.vectorize.chunks",
-    "counter corpus.vectorize.items",
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "counter kmeans.assign.chunks",
     "counter kmeans.assign.items",
     "counter kmeans.iterations",
@@ -289,7 +301,10 @@ const CAFC_C_HTML: &[&str] = &[
     "gauge corpus.pages",
     "gauge corpus.terms",
     "gauge kmeans.converged",
-    "histogram corpus.vectorize.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
     "histogram kmeans.assign.chunk_us",
     "histogram kmeans.moved_fraction",
     "histogram kmeans.update.chunk_us",
@@ -297,7 +312,7 @@ const CAFC_C_HTML: &[&str] = &[
     "span cluster/kmeans.assign",
     "span cluster/kmeans.update",
     "span corpus.tfidf",
-    "span corpus.vectorize",
+    "span ingest",
 ];
 
 /// CAFC-C over mutated HTML with ingest limits: `from_shards` and `cafc_c`.
@@ -338,8 +353,18 @@ const CAFC_C_INGEST: &[&str] = &[
 
 /// CAFC-CH over the graph: `from_graph`, `select_hub_clusters` and `kmeans`.
 const CAFC_CH_GRAPH: &[&str] = &[
-    "counter corpus.vectorize.chunks",
-    "counter corpus.vectorize.items",
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "counter kmeans.assign.chunks",
     "counter kmeans.assign.items",
     "counter kmeans.iterations",
@@ -352,7 +377,10 @@ const CAFC_CH_GRAPH: &[&str] = &[
     "gauge corpus.pages",
     "gauge corpus.terms",
     "gauge kmeans.converged",
-    "histogram corpus.vectorize.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
     "histogram kmeans.assign.chunk_us",
     "histogram kmeans.moved_fraction",
     "histogram kmeans.update.chunk_us",
@@ -361,13 +389,23 @@ const CAFC_CH_GRAPH: &[&str] = &[
     "span cluster/kmeans.update",
     "span cluster/seed.select_hub_clusters",
     "span corpus.tfidf",
-    "span corpus.vectorize",
+    "span ingest",
 ];
 
 /// CAFC-CH over the graph with anchor-text vectors.
 const CAFC_CH_ANCHORS: &[&str] = &[
-    "counter corpus.vectorize.chunks",
-    "counter corpus.vectorize.items",
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "counter kmeans.assign.chunks",
     "counter kmeans.assign.items",
     "counter kmeans.iterations",
@@ -380,7 +418,10 @@ const CAFC_CH_ANCHORS: &[&str] = &[
     "gauge corpus.pages",
     "gauge corpus.terms",
     "gauge kmeans.converged",
-    "histogram corpus.vectorize.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
     "histogram kmeans.assign.chunk_us",
     "histogram kmeans.moved_fraction",
     "histogram kmeans.update.chunk_us",
@@ -390,35 +431,58 @@ const CAFC_CH_ANCHORS: &[&str] = &[
     "span cluster/seed.select_hub_clusters",
     "span corpus.anchors",
     "span corpus.tfidf",
-    "span corpus.vectorize",
+    "span ingest",
 ];
 
 /// HAC (average linkage) over the graph.
 const HAC_GRAPH: &[&str] = &[
-    "counter corpus.vectorize.chunks",
-    "counter corpus.vectorize.items",
     "counter hac.dissimilarity_matrix.chunks",
     "counter hac.dissimilarity_matrix.items",
     "counter hac.merges",
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "gauge corpus.pages",
     "gauge corpus.terms",
     "gauge hac.final_groups",
     "gauge hac.initial_groups",
-    "histogram corpus.vectorize.chunk_us",
     "histogram hac.dissimilarity_matrix.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
     "span cluster",
     "span cluster/hac.dissimilarity_matrix",
     "span cluster/hac.merge_scan",
     "span corpus.tfidf",
-    "span corpus.vectorize",
+    "span ingest",
 ];
 
 /// Bisecting k-means over the graph.
 const BISECT_GRAPH: &[&str] = &[
     "counter bisect.splits",
     "counter bisect.trials",
-    "counter corpus.vectorize.chunks",
-    "counter corpus.vectorize.items",
+    "counter ingest.chunks",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.items",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "counter kmeans.assign.chunks",
     "counter kmeans.assign.items",
     "counter kmeans.iterations",
@@ -427,7 +491,10 @@ const BISECT_GRAPH: &[&str] = &[
     "gauge corpus.pages",
     "gauge corpus.terms",
     "gauge kmeans.converged",
-    "histogram corpus.vectorize.chunk_us",
+    "histogram ingest.analyze_us",
+    "histogram ingest.chunk_us",
+    "histogram ingest.parse_us",
+    "histogram ingest.sanitize_us",
     "histogram kmeans.assign.chunk_us",
     "histogram kmeans.moved_fraction",
     "histogram kmeans.update.chunk_us",
@@ -436,16 +503,27 @@ const BISECT_GRAPH: &[&str] = &[
     "span cluster/bisect.split/kmeans.assign",
     "span cluster/bisect.split/kmeans.update",
     "span corpus.tfidf",
-    "span corpus.vectorize",
+    "span ingest",
 ];
 
 /// A stream over the mutated pages, warm-started on the first 16 clean
 /// ones, with repair passes (one re-clusters) and one index publish. Each
-/// arrival records the batch page pass's three phase histograms.
+/// arrival records the batch page pass's three phase histograms and is
+/// counted in its outcome counters.
 const STREAM: &[&str] = &[
     "counter index.build.chunks",
     "counter index.build.items",
     "counter index.builds.full",
+    "counter ingest.degraded.control-chars-stripped",
+    "counter ingest.degraded.depth-capped",
+    "counter ingest.degraded.input-truncated",
+    "counter ingest.degraded.missing-title",
+    "counter ingest.degraded.no-form-content",
+    "counter ingest.degraded.term-budget-exceeded",
+    "counter ingest.pages_degraded",
+    "counter ingest.pages_ok",
+    "counter ingest.pages_quarantined",
+    "counter ingest.pages_total",
     "counter kmeans.assign.chunks",
     "counter kmeans.assign.items",
     "counter kmeans.iterations",
@@ -478,7 +556,9 @@ const STREAM: &[&str] = &[
 /// the `x` / `x_exec` / `x_obs` triplets were folded into one function
 /// each: a stage that now receives a disabled handle drops its names from
 /// the list. The lists above were recorded from the triplet-era code, but
-/// for `STREAM`, recorded once arrivals ran the batch page pass.
+/// for the `ingest` names of the HTML and graph shapes, recorded once
+/// `from_html` and `from_graph` ran the hardened page pass, and for
+/// `STREAM`, recorded once arrivals ran that pass and were counted.
 #[test]
 fn metric_names_match_the_recorded_lists() {
     let (clean, mutated) = target_html();
